@@ -25,11 +25,11 @@ from .estimator import ModelConfig, anneal, grid_search
 from .panel import Panel, load_csv, rescale
 
 
-def _config_from_args(args, k=None, c_gamma=None) -> ModelConfig:
+def _config_from_args(args) -> ModelConfig:
     c_lam = math.inf if args.clambda is None else args.clambda
     return ModelConfig(
-        k=k if k is not None else args.k,
-        c_gamma=c_gamma if c_gamma is not None else args.cgamma,
+        k=args.k,
+        c_gamma=args.cgamma,
         c_lambda=c_lam,
         m=args.m,
         n_anneal=args.anneal,
@@ -74,7 +74,9 @@ def cmd_fit(args) -> int:
 def cmd_grid(args) -> int:
     panel = load_csv(args.csv, delimiter=args.delimiter, header=args.header)
     scaled, scaling = rescale(panel)
-    config = _config_from_args(args, k=1, c_gamma=1.0)
+    # grid_search sets K, C_gamma and the l1 bounds of every cell itself
+    config = ModelConfig(m=args.m, n_anneal=args.anneal, quad_order=args.quad_order,
+                         seed=args.seed)
     report = grid_search(
         scaled.values,
         k_grid=range(1, args.kmax + 1),
@@ -225,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_csv_opts(p)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--cgamma-max", type=int, default=50, dest="cgamma_max")
-    p.add_argument("--clambda", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--stage2-points", type=int, default=12, dest="stage2_points",
                    help="l1 grid size for stage 2 (0 disables)")
     p.add_argument("--jobs", type=int, default=1)

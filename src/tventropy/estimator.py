@@ -26,7 +26,7 @@ import numpy as np
 
 from .gamma_step import AffiliationSolver, build_scores
 from .lambda_step import feature_matrix, fit_lambda, project_l1_ball, sparsify
-from .maxent import gauss_legendre, log_partition
+from .maxent import MAX_ORDER, gauss_legendre, log_partition
 from .panel import Panel
 
 
@@ -52,8 +52,8 @@ class ModelConfig:
             raise ValueError("need at least one regime")
         if self.c_gamma < 0:
             raise ValueError("c_gamma must be nonnegative")
-        if not 1 <= self.m <= 12:
-            raise ValueError("moment order must be in 1..12")
+        if not 1 <= self.m <= MAX_ORDER:
+            raise ValueError(f"moment order must be in 1..{MAX_ORDER}")
         if self.n_anneal < 1:
             raise ValueError("n_anneal must be >= 1")
 
@@ -124,12 +124,15 @@ def random_block_gamma(k: int, T: int, n: int, c_gamma: float, seed) -> np.ndarr
     """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=(T, n))
-    n_blocks = int(c_gamma // max(n, 1)) + 1
+    n_blocks = min(int(c_gamma // max(n, 1)) + 1, T)
+    sizes = np.full(n_blocks, T // n_blocks)
+    sizes[: T % n_blocks] += 1                      # the np.array_split sizes
+    block = np.repeat(np.arange(n_blocks), sizes)   # block id per time step
+    cell = (block[:, None] * n + np.arange(n)) * k + labels
+    counts = np.bincount(cell.ravel(), minlength=n_blocks * n * k)
+    winner = counts.reshape(n_blocks, n, k).argmax(axis=2)   # ties -> lowest k
     gamma = np.zeros((k, T, n))
-    for i in range(n):
-        for blk in np.array_split(np.arange(T), min(n_blocks, T)):
-            counts = np.bincount(labels[blk, i], minlength=k)
-            gamma[counts.argmax(), blk, i] = 1.0
+    gamma[winner[block], np.arange(T)[:, None], np.arange(n)] = 1.0
     return gamma
 
 

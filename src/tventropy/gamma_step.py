@@ -17,10 +17,14 @@ skipped: that assignment is optimal by construction.
 ``AffiliationSolver`` keeps one HiGHS model alive across repeated solves
 with changing scores, so the simplex restarts from the previous basis; the
 outer alternation changes the objective only a little per iteration, which
-makes the warm-started re-solves far cheaper than cold ones.
+makes the warm-started re-solves far cheaper than cold ones.  The LP's
+constraint matrix depends only on the shape (K, T, n); a small bounded cache
+keeps the last few shapes, so solvers of one shape share one matrix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +39,6 @@ except ImportError:                          # pragma: no cover
     _HAVE_HIGHS_CORE = False
 
 PREFERENCE_WEIGHT = 1e-9    # infinitesimal pull toward the previous affiliation
-
-_MATRIX_CACHE: dict[tuple[int, int, int], sp.csc_matrix] = {}
 
 
 def build_scores(lambdas, features: np.ndarray, log_zs) -> np.ndarray:
@@ -66,6 +68,7 @@ def hard_assignment(scores: np.ndarray) -> np.ndarray:
     return gamma
 
 
+@lru_cache(maxsize=8)
 def _constraint_matrix(K: int, T: int, n: int) -> sp.csc_matrix:
     """Inequality matrix for the reduced LP (last regime eliminated).
 
@@ -74,10 +77,6 @@ def _constraint_matrix(K: int, T: int, n: int) -> sp.csc_matrix:
     Rows: +-difference bounds per regime, the "weights sum <= 1" rows, and
     one TV budget row per regime.
     """
-    key = (K, T, n)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     D = sp.kron(
         sp.diags([-np.ones(T), np.ones(T - 1)], [0, 1], shape=(T - 1, T)),
         sp.identity(n), format="csc")                    # (T-1)n x Tn temporal difference
@@ -107,9 +106,7 @@ def _constraint_matrix(K: int, T: int, n: int) -> sp.csc_matrix:
         eblk = [zero1] * K
         eblk[k] = ones
         rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk))
-    matrix = sp.vstack(rows, format="csc")
-    _MATRIX_CACHE[key] = matrix
-    return matrix
+    return sp.vstack(rows, format="csc")
 
 
 class AffiliationSolver:

@@ -14,6 +14,9 @@ does.  The damping matters for high moment orders, whose monomial covariance
 is badly conditioned: from a far start the full step overshoots, and plain
 gradient ascent crawls.  Every accepted step improves the objective, so the
 iterate trace is monotone.
+
+log Z and the moments come from the density engine's one quadrature kernel,
+:func:`.maxent.log_z_and_moments`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegime
-from .maxent import QuadratureRule, gauss_legendre, validate_lambda
+from .maxent import (
+    MAX_ORDER,
+    QuadratureRule,
+    gauss_legendre,
+    log_z_and_moments,
+    validate_lambda,
+)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
@@ -34,8 +43,8 @@ def feature_matrix(values: np.ndarray, m: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    if not 1 <= m <= 12:
-        raise ValueError(f"moment order must be in 1..12, got {m}")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"moment order must be in 1..{MAX_ORDER}, got {m}")
     if np.any(np.abs(values) > 1.0 + 1e-12):
         raise ValueError("feature matrix requires values scaled into [-1, 1]")
     return np.power.outer(np.clip(values, -1.0, 1.0), np.arange(1, m + 1))
@@ -53,15 +62,6 @@ def _weighted_sums(features: np.ndarray, w: np.ndarray):
     return S, float(w.sum())
 
 
-def _log_z_and_moments(lam: np.ndarray, quad: QuadratureRule, j_max: int):
-    P = quad.node_powers(j_max)
-    s = -P[:, : lam.size] @ lam
-    smax = s.max()
-    ew = quad.weights * np.exp(s - smax)
-    z = ew.sum()
-    return float(np.log(z)) + smax, (ew @ P) / z
-
-
 def weighted_loglik(lam, features: np.ndarray, w, quad: QuadratureRule | None = None) -> float:
     """-(lam . S + W ln Z): the gamma-weighted log-likelihood of one regime."""
     lam = validate_lambda(lam)
@@ -69,7 +69,7 @@ def weighted_loglik(lam, features: np.ndarray, w, quad: QuadratureRule | None = 
     S, W = _weighted_sums(features, w)
     if lam.size != features.shape[2]:
         raise ValueError("coefficient length does not match feature order")
-    log_z, _ = _log_z_and_moments(lam, quad, lam.size)
+    log_z, _ = log_z_and_moments(lam, quad, lam.size)
     return float(-(lam @ S + W * log_z))
 
 
@@ -80,7 +80,7 @@ def loglik_gradient(lam, features: np.ndarray, w, quad: QuadratureRule | None = 
     S, W = _weighted_sums(features, w)
     if W <= 0:
         raise EmptyRegime("gradient undefined for zero total weight")
-    _, mom = _log_z_and_moments(lam, quad, lam.size)
+    _, mom = log_z_and_moments(lam, quad, lam.size)
     return W * mom - S
 
 
@@ -141,7 +141,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
 
     if c_lambda == 0:
         lam = np.zeros(m)
-        log_z, _ = _log_z_and_moments(lam, quad, m)
+        log_z, _ = log_z_and_moments(lam, quad, m)
         val = -(W * log_z)
         return LambdaFit(lam=lam, log_z=log_z, converged=True, n_iter=0,
                          trace=[val], objective=val)
@@ -151,7 +151,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         lam = project_l1_ball(lam, c_lambda)
 
     bounded = np.isfinite(c_lambda)
-    log_z, mom = _log_z_and_moments(lam, quad, 2 * m)
+    log_z, mom = log_z_and_moments(lam, quad, 2 * m)
     h = -(lam @ mu_hat + log_z)                 # objective per unit weight
     trace = [W * h]
     step = 1.0
@@ -187,7 +187,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             for _ in range(30):
                 cand = lam + t * d
                 if not bounded or np.abs(cand).sum() <= c_lambda:
-                    lz_n, mom_n = _log_z_and_moments(cand, quad, 2 * m)
+                    lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
                     h_n = -(cand @ mu_hat + lz_n)
                     if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
                         lam, log_z, mom, h = cand, lz_n, mom_n, h_n
@@ -203,7 +203,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
                 if bounded:
                     cand = project_l1_ball(cand, c_lambda)
                 delta = cand - lam
-                lz_n, mom_n = _log_z_and_moments(cand, quad, 2 * m)
+                lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
                 h_n = -(cand @ mu_hat + lz_n)
                 if h_n >= h + 1e-4 * (g @ delta) and h_n >= h:
                     lam, log_z, mom, h = cand, lz_n, mom_n, h_n

@@ -6,14 +6,17 @@ A density is parameterised by a coefficient vector ``lam`` of length m,
     Z    = integral_{-1}^{1} exp(-sum_j lam_j x^j) dx,
 
 so the normalisation constant is never stored: log Z plays the role of the
-zeroth coefficient.  All integrals run over fixed Gauss-Legendre nodes; every
-exponential is evaluated with a max-shift so the routines stay finite for
-any coefficient magnitude.
+zeroth coefficient.  One kernel, :func:`log_z_and_moments`, computes log Z
+and the moments over a quadrature rule's nodes; the partition function, the
+moments, the entropy and the lambda step all call it.  Values away from the
+nodes (density, CDF, sampling grid) come from one integrand helper that
+evaluates the polynomial by Horner's rule.  Every exponential is evaluated
+with a shift so the routines stay finite for any coefficient magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,33 +26,33 @@ from .errors import ConvergenceError, DomainError
 MAX_ORDER = 12          # highest supported monomial degree
 DEFAULT_QUAD_ORDER = 200
 
-_POWER_CACHE: dict[int, np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Quadrature nodes and weights on [-1, 1] with their node-power table.
+
+    The table holds x_q^j for j = 1..2 * MAX_ORDER, built once per rule from
+    its own nodes by repeated multiplication, since the solvers request node
+    powers in tight loops.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.empty((self.nodes.size, 2 * MAX_ORDER))
+        table[:, 0] = self.nodes
+        for j in range(1, 2 * MAX_ORDER):
+            table[:, j] = table[:, j - 1] * self.nodes
+        table.setflags(write=False)
+        object.__setattr__(self, "_powers", table)
 
     def node_powers(self, j_max: int) -> np.ndarray:
-        """Matrix of node powers x_q^j for j = 1..j_max, shape (order, j_max).
-
-        Tables up to degree 2 * MAX_ORDER are built once per rule and sliced,
-        since the solvers request them in tight loops.
-        """
+        """Matrix of node powers x_q^j for j = 1..j_max, shape (order, j_max)."""
         if j_max <= 2 * MAX_ORDER:
-            table = _POWER_CACHE.get(self.order)
-            if table is None:
-                table = np.empty((self.nodes.size, 2 * MAX_ORDER))
-                table[:, 0] = self.nodes
-                for j in range(1, 2 * MAX_ORDER):
-                    table[:, j] = table[:, j - 1] * self.nodes
-                table.setflags(write=False)
-                _POWER_CACHE[self.order] = table
-            return table[:, :j_max]
+            return self._powers[:, :j_max]
         return np.power.outer(self.nodes, np.arange(1, j_max + 1))
 
 
@@ -74,18 +77,40 @@ def validate_lambda(lam) -> np.ndarray:
     return lam
 
 
-def _log_weighted(lam: np.ndarray, quad: QuadratureRule):
-    """Log-domain integrand pieces: s_q = -sum_j lam_j x_q^j and its max."""
-    s = -quad.node_powers(lam.size) @ lam
-    return s, s.max()
+def log_z_and_moments(lam: np.ndarray, quad: QuadratureRule, j_max: int):
+    """ln Z and E[X^j] for j = 1..j_max (j_max >= lam.size) over the rule's nodes.
+
+    The integrand s_q = -sum_j lam_j x_q^j is shifted by its maximum before
+    exponentiating, and the weighted terms are normalised by their sum.
+    """
+    P = quad.node_powers(j_max)
+    s = -P[:, : lam.size] @ lam
+    smax = s.max()
+    ew = quad.weights * np.exp(s - smax)
+    z = ew.sum()
+    return float(np.log(z)) + smax, (ew @ P) / z
+
+
+def _neg_poly(lam: np.ndarray, x):
+    """-sum_j lam_j x^j at any array of points, by Horner's rule."""
+    return -np.polynomial.polynomial.polyval(x, np.concatenate(([0.0], lam)))
+
+
+def _cdf_at(lam: np.ndarray, log_z: float, x: np.ndarray, quad: QuadratureRule):
+    """P(X <= x) for points x in [-1, 1], the rule mapped onto each [-1, x].
+
+    Reuses the same rule order on the subinterval, so x = 1 reproduces the
+    full-interval normalisation up to rounding.
+    """
+    half = 0.5 * (x + 1.0)
+    u = half[..., None] * (quad.nodes + 1.0) - 1.0          # [-1, 1] -> [-1, x]
+    return half * (np.exp(_neg_poly(lam, u) - log_z) @ quad.weights)
 
 
 def log_partition(lam, quad: QuadratureRule | None = None) -> float:
     """ln Z = ln integral exp(-sum_j lam_j x^j) dx over [-1, 1]."""
     lam = validate_lambda(lam)
-    quad = quad or gauss_legendre()
-    s, smax = _log_weighted(lam, quad)
-    return float(np.log(np.dot(quad.weights, np.exp(s - smax)))) + smax
+    return log_z_and_moments(lam, quad or gauss_legendre(), lam.size)[0]
 
 
 def density(lam, x, quad: QuadratureRule | None = None):
@@ -95,23 +120,8 @@ def density(lam, x, quad: QuadratureRule | None = None):
     x = np.asarray(x, dtype=float)
     if np.any(x < -1.0) or np.any(x > 1.0):
         raise DomainError("density evaluated outside [-1, 1]")
-    log_z = log_partition(lam, quad)
-    s = -np.power.outer(np.atleast_1d(x), np.arange(1, lam.size + 1)) @ lam
-    out = np.exp(s - log_z)
-    return float(out[0]) if x.ndim == 0 else out
-
-
-def log_density(lam, x, quad: QuadratureRule | None = None):
-    """ln f(x); same domain contract as :func:`density`."""
-    lam = validate_lambda(lam)
-    quad = quad or gauss_legendre()
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1.0) or np.any(x > 1.0):
-        raise DomainError("log-density evaluated outside [-1, 1]")
-    log_z = log_partition(lam, quad)
-    s = -np.power.outer(np.atleast_1d(x), np.arange(1, lam.size + 1)) @ lam
-    out = s - log_z
-    return float(out[0]) if x.ndim == 0 else out
+    out = np.exp(_neg_poly(lam, x) - log_partition(lam, quad))
+    return float(out) if x.ndim == 0 else out
 
 
 def moments(lam, quad: QuadratureRule | None = None, j_max: int | None = None) -> np.ndarray:
@@ -121,17 +131,11 @@ def moments(lam, quad: QuadratureRule | None = None, j_max: int | None = None) -
     j_max = j_max if j_max is not None else lam.size
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    s, smax = _log_weighted(lam, quad)
-    ew = quad.weights * np.exp(s - smax)
-    return (ew @ quad.node_powers(j_max)) / ew.sum()
+    return log_z_and_moments(lam, quad, max(j_max, lam.size))[1][:j_max]
 
 
 def cdf(lam, x, quad: QuadratureRule | None = None) -> float:
-    """P(X <= x), computed by mapping the quadrature rule onto [-1, x].
-
-    Reuses the same rule order on the subinterval, so cdf(1) reproduces the
-    full-interval normalisation exactly.
-    """
+    """P(X <= x), computed by mapping the quadrature rule onto [-1, x]."""
     lam = validate_lambda(lam)
     quad = quad or gauss_legendre()
     x = float(x)
@@ -139,11 +143,7 @@ def cdf(lam, x, quad: QuadratureRule | None = None) -> float:
         raise DomainError("cdf argument outside [-1, 1]")
     if x == -1.0:
         return 0.0
-    log_z = log_partition(lam, quad)
-    half = 0.5 * (x + 1.0)
-    u = half * (quad.nodes + 1.0) - 1.0          # [-1, 1] -> [-1, x]
-    s = -np.power.outer(u, np.arange(1, lam.size + 1)) @ lam
-    val = half * np.dot(quad.weights, np.exp(s - log_z))
+    val = _cdf_at(lam, log_partition(lam, quad), np.asarray(x), quad)
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -171,13 +171,7 @@ def quantile(lam, alpha: float, quad: QuadratureRule | None = None,
 def _cdf_grid(lam: np.ndarray, quad: QuadratureRule, grid_size: int = 4097):
     """CDF sampled on a uniform grid, for bulk inverse-CDF sampling."""
     xs = np.linspace(-1.0, 1.0, grid_size)
-    log_z = log_partition(lam, quad)
-    half = 0.5 * (xs + 1.0)                                   # (G,)
-    u = half[:, None] * (quad.nodes + 1.0)[None, :] - 1.0      # (G, q)
-    s = -np.tensordot(
-        np.power.outer(u.ravel(), np.arange(1, lam.size + 1)).reshape(u.shape + (lam.size,)),
-        lam, axes=([2], [0]))
-    vals = half * (np.exp(s - log_z) @ quad.weights)
+    vals = _cdf_at(lam, log_partition(lam, quad), xs, quad)
     vals[0], vals[-1] = 0.0, 1.0
     return xs, np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
 
@@ -201,5 +195,5 @@ def sample(lam, count: int, seed: int, quad: QuadratureRule | None = None) -> np
 def entropy(lam, quad: QuadratureRule | None = None) -> float:
     """Differential entropy H = sum_j lam_j E[X^j] + ln Z."""
     lam = validate_lambda(lam)
-    quad = quad or gauss_legendre()
-    return float(lam @ moments(lam, quad, lam.size)) + log_partition(lam, quad)
+    log_z, mom = log_z_and_moments(lam, quad or gauss_legendre(), lam.size)
+    return float(lam @ mom) + log_z

@@ -2,8 +2,9 @@
 
 The document stores the scaling maps, per-regime coefficients with their
 log-partitions, the affiliation field (run-length encoded per dimension),
-the configuration and the fit summary.  Serialisation is canonical (sorted
-keys, no whitespace), so write -> read -> write is byte-identical.
+every ``ModelConfig`` field and the fit summary.  Serialisation is
+canonical (sorted keys, no whitespace), so write -> read -> write is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,7 +58,9 @@ def _rle_decode(dims: list, K: int) -> np.ndarray:
 
 def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dict:
     cfg = fit_result.config
-    c_lam = cfg.c_lambda_per_regime()
+    config = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
+    config["c_lambda"] = [None if math.isinf(v) else float(v)
+                          for v in cfg.c_lambda_per_regime()]
     k_star = [sparsify(fit_result.lambdas[k], cfg.eps_sparse)[1]
               for k in range(fit_result.k)]
     return {
@@ -64,18 +68,7 @@ def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dic
         "labels": list(labels) if labels else [f"x{i + 1}" for i in range(fit_result.shape[1])],
         "scaling": {"a": [float(v) for v in scaling.a],
                     "b": [float(v) for v in scaling.b]},
-        "config": {
-            "k": cfg.k,
-            "c_gamma": cfg.c_gamma,
-            "c_lambda": [None if math.isinf(v) else float(v) for v in c_lam],
-            "m": cfg.m,
-            "n_anneal": cfg.n_anneal,
-            "quad_order": cfg.quad_order,
-            "tol_outer": cfg.tol_outer,
-            "max_outer_iter": cfg.max_outer_iter,
-            "seed": cfg.seed,
-            "eps_sparse": cfg.eps_sparse,
-        },
+        "config": config,
         "lambda": [[float(v) for v in row] for row in fit_result.lambdas],
         "log_z": [float(v) for v in fit_result.log_z],
         "gamma_rle": _rle_encode(fit_result.gamma),
@@ -93,18 +86,11 @@ def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {obj.get('schema')!r}")
     cfg_obj = obj["config"]
-    config = ModelConfig(
-        k=cfg_obj["k"],
-        c_gamma=cfg_obj["c_gamma"],
-        c_lambda=tuple(math.inf if v is None else float(v) for v in cfg_obj["c_lambda"]),
-        m=cfg_obj["m"],
-        n_anneal=cfg_obj["n_anneal"],
-        quad_order=cfg_obj["quad_order"],
-        tol_outer=cfg_obj["tol_outer"],
-        max_outer_iter=cfg_obj["max_outer_iter"],
-        seed=cfg_obj["seed"],
-        eps_sparse=cfg_obj["eps_sparse"],
-    )
+    # keys absent from older schema-1 files take their defaults
+    settings = {f.name: cfg_obj[f.name] for f in fields(ModelConfig) if f.name in cfg_obj}
+    settings["c_lambda"] = tuple(math.inf if v is None else float(v)
+                                 for v in cfg_obj["c_lambda"])
+    config = ModelConfig(**settings)
     gamma = _rle_decode(obj["gamma_rle"], config.k)
     fit_result = FitResult(
         gamma=gamma,

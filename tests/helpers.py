@@ -58,3 +58,17 @@ def random_fit_trace(args):
                          m=int(rng.integers(2, 7)), seed=seed)
     result = tv.fit(scaled.values, config)
     return result.trace
+
+
+def random_block_gamma_loop(k: int, T: int, n: int, c_gamma: float, seed) -> np.ndarray:
+    """Reference loop for ``estimator.random_block_gamma``: one ``bincount``
+    majority vote per (dimension, time block)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, size=(T, n))
+    n_blocks = int(c_gamma // max(n, 1)) + 1
+    gamma = np.zeros((k, T, n))
+    for i in range(n):
+        for blk in np.array_split(np.arange(T), min(n_blocks, T)):
+            counts = np.bincount(labels[blk, i], minlength=k)
+            gamma[counts.argmax(), blk, i] = 1.0
+    return gamma

@@ -66,6 +66,25 @@ class TestModelFile:
         loaded, _, _ = load_model(str(path))
         assert np.isinf(loaded.config.c_lambda_per_regime()).all()
 
+    def test_every_config_field_round_trips(self, tmp_path):
+        case = gen_two_regime_gaussian(4.0, T=200, switch_period=50, seed=3)
+        scaled, scaling = rescale(case.panel)
+        config = ModelConfig(k=2, c_gamma=2.0, c_lambda=(5.0, 7.5), m=3, n_anneal=1,
+                             quad_order=120, tol_outer=1e-5, max_outer_iter=50,
+                             seed=4, eps_sparse=1e-4, tol_lambda=1e-9,
+                             max_lambda_iter=77)
+        result = anneal(scaled.values, config)
+        path = tmp_path / "m.json"
+        save_model(str(path), result, scaling)
+        loaded, _, _ = load_model(str(path))
+        assert loaded.config == config
+
+    def test_older_file_without_lambda_settings_loads_defaults(self, small_model):
+        obj = json.loads(small_model.read_text())
+        del obj["config"]["tol_lambda"], obj["config"]["max_lambda_iter"]
+        config = obj_to_model(obj)[0].config
+        assert (config.tol_lambda, config.max_lambda_iter) == (1e-7, 5000)
+
 
 class TestFitCommand:
     def test_writes_model(self, small_model):
@@ -111,6 +130,15 @@ class TestGridCommand:
         assert len(obj["stage1"]) == 6
         bics = [c["bic"] for c in obj["stage1"]]
         assert obj["chosen"]["bic"] == min(bics)
+
+    def test_clambda_flag_rejected(self, synthetic_csv, tmp_path):
+        # grid_search chooses the l1 bounds itself, so grid takes none
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", str(synthetic_csv), "--clambda", "5", "--kmax", "1",
+                  "--cgamma-max", "1", "--m", "4", "--anneal", "1",
+                  "--stage2-points", "0", "-o", str(tmp_path / "g.json"),
+                  "--output-csv", str(tmp_path / "g.csv")])
+        assert exc.value.code == 2
 
     def test_jobs_flag_gives_same_report(self, synthetic_csv, tmp_path):
         base = ["grid", str(synthetic_csv), "--kmax", "2", "--cgamma-max", "2",

@@ -23,6 +23,8 @@ from tventropy import (
 )
 from tventropy.estimator import random_block_gamma
 
+from tests.helpers import random_block_gamma_loop
+
 
 def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
     case = gen_two_regime_gaussian(v2, T=T, switch_period=period, seed=seed)
@@ -120,6 +122,15 @@ class TestRandomBlockGamma:
     def test_binary(self):
         gamma = random_block_gamma(3, 30, 2, 4.0, seed=1)
         assert set(np.unique(gamma)) <= {0.0, 1.0}
+
+    def test_matches_block_loop(self):
+        # T not divisible by the block count, n > 1, K = 1, more blocks than T
+        shapes = [(2, 1000, 3, 2997.0), (2, 101, 2, 7.0), (3, 50, 3, 10.5),
+                  (1, 20, 2, 3.0), (4, 7, 1, 100.0), (3, 33, 1, 0.0)]
+        for (k, T, n, c) in shapes:
+            for seed in range(5):
+                np.testing.assert_array_equal(random_block_gamma(k, T, n, c, seed),
+                                              random_block_gamma_loop(k, T, n, c, seed))
 
 
 class TestAnneal:

@@ -9,6 +9,7 @@ from scipy.special import erf, logsumexp
 
 from tventropy import (
     DomainError,
+    QuadratureRule,
     cdf,
     density,
     entropy,
@@ -194,3 +195,16 @@ class TestQuadratureRule:
 
     def test_cached_instances_shared(self):
         assert gauss_legendre(200) is gauss_legendre(200)
+
+    def test_power_table_belongs_to_its_rule(self):
+        # a rule of the same order on [-0.5, 0.5], used after the Gauss rule
+        g = gauss_legendre(200)
+        lam = np.array([0.3, 2.0, -0.5, 1.0])
+        log_partition(lam, g)
+        half = QuadratureRule(nodes=g.nodes * 0.5, weights=g.weights * 0.5, order=200)
+        x = half.nodes
+        s = -np.power.outer(x, np.arange(1, 5)) @ lam
+        z = np.dot(half.weights, np.exp(s))
+        assert log_partition(lam, half) == pytest.approx(math.log(z), abs=1e-12)
+        direct = (half.weights * np.exp(s)) @ np.power.outer(x, np.arange(1, 5)) / z
+        np.testing.assert_allclose(moments(lam, half), direct, rtol=0, atol=1e-12)
