@@ -16,8 +16,7 @@ import argparse
 import csv
 import math
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import diagnostics, forecast, model_io
 from .errors import TvEntropyError
@@ -87,16 +86,8 @@ def cmd_grid(args) -> int:
     )
     obj = {
         "schema": 1,
-        "stage1": [
-            {"k": c.k, "c_gamma": c.c_gamma, "objective": c.objective,
-             "bic": c.bic, "converged": c.converged, "schwarz": c.schwarz}
-            for c in report.stage1
-        ],
-        "stage2": [
-            {"scale": c.scale, "c_lambda": list(c.c_lambda), "objective": c.objective,
-             "bic": c.bic, "k_star": list(c.k_star)}
-            for c in report.stage2
-        ],
+        "stage1": [asdict(c) for c in report.stage1],
+        "stage2": [asdict(c) for c in report.stage2],
         "chosen": {
             "k": report.chosen_k,
             "c_gamma": report.chosen_c_gamma,
@@ -145,6 +136,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_acf(args) -> int:
     panel = load_csv(args.csv, delimiter=args.delimiter, header=args.header)
+    if not 0 <= args.dim < panel.n:
+        raise TvEntropyError(f"--dim must be in [0, {panel.n - 1}], got {args.dim}")
     x = panel.values[:, args.dim]
     rho = diagnostics.acf_abs(x, d=args.d, max_lag=args.max_lag)
     iid, ma = diagnostics.acf_bands(rho, panel.T)
@@ -182,11 +175,9 @@ def cmd_var(args) -> int:
                                alphas=args.alpha or [0.95, 0.99],
                                labels=panel.labels,
                                switch_penalty=args.switch_penalty)
-    _write_csv(args.output,
-               ["dimension", "alpha", "violations", "t_out", "coverage", "lr", "p_value"],
-               [[r["dimension"], r["alpha"], r["violations"], r["t_out"],
-                 r["coverage"], r["lr"], r["p_value"]] for r in result.rows()])
-    for r in result.rows():
+    rows = list(result.rows())
+    _write_csv(args.output, list(rows[0]), [list(r.values()) for r in rows])
+    for r in rows:
         print(f"{r['dimension']} alpha={r['alpha']}: coverage={r['coverage']:.4f} "
               f"LR={r['lr']:.4f} p={r['p_value']:.4f}")
     return 0
@@ -295,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TvEntropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TvEntropyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

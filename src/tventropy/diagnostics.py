@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,17 +111,24 @@ def gmw_variance(x, bandwidth: int = 50) -> np.ndarray:
 
 
 def acf_abs(x, d: float = 1.0, max_lag: int = 50) -> np.ndarray:
-    """Sample autocorrelation of |x|^d at lags 1..max_lag."""
+    """Sample autocorrelation of |x|^d at lags 1..max_lag, along the last axis.
+
+    ``x`` is one series of shape (T,) or a stack of series of shape (S, T);
+    the result has shape (max_lag,) or (S, max_lag).  Raises
+    DegenerateSeries if any series has constant |x|^d.
+    """
     x = np.asarray(x, dtype=float)
-    if max_lag >= x.size:
+    T = x.shape[-1]
+    if max_lag >= T:
         raise ValueError("max_lag must be smaller than the series length")
     y = np.abs(x) ** d
-    yc = y - y.mean()
-    denom = float(yc @ yc)
-    if denom <= 1e-300 * x.size:
+    yc = y - y.mean(axis=-1, keepdims=True)
+    denom = np.einsum("...t,...t->...", yc, yc)
+    if np.any(denom <= 1e-300 * T):
         raise DegenerateSeries("series |x|^d is constant; autocorrelation undefined")
-    return np.array([float(yc[:-lag] @ yc[lag:]) / denom
-                     for lag in range(1, max_lag + 1)])
+    lags = [np.einsum("...t,...t->...", yc[..., :-lag], yc[..., lag:])
+            for lag in range(1, max_lag + 1)]
+    return np.stack(lags, axis=-1) / denom[..., None]
 
 
 def acf_bands(rho, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +146,9 @@ def acf_bands(rho, T: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _simulate_dim(fit_result: FitResult, i: int, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, T) scaled draws along dimension i's fitted hard regime path."""
-    T = fit_result.shape[0]
-    hard = fit_result.gamma[:, :, i].argmax(axis=0)
+    hard = fit_result.hard_path()[:, i]
     quad = gauss_legendre(fit_result.config.quad_order)
-    sims = np.empty((n_samples, T))
+    sims = np.empty((n_samples, hard.size))
     for k in range(fit_result.k):
         pos = np.nonzero(hard == k)[0]
         if pos.size == 0:
@@ -159,14 +165,9 @@ def simulate_panels(fit_result: FitResult, scaling: ScalingMap | None = None,
 
     With a scaling map the draws are mapped back into return units.
     """
-    T, n = fit_result.shape
-    out = np.empty((n_samples, T, n))
-    for i in range(n):
-        sims = _simulate_dim(fit_result, i, n_samples, seed + 1000003 * i)
-        if scaling is not None:
-            sims = (sims - scaling.b[i]) / scaling.a[i]
-        out[:, :, i] = sims
-    return out
+    out = np.stack([_simulate_dim(fit_result, i, n_samples, seed + 1000003 * i)
+                    for i in range(fit_result.shape[1])], axis=-1)
+    return out if scaling is None else scaling.invert(out)
 
 
 def simulated_acf(fit_result: FitResult, n_samples: int = 1000, d: float = 1.0,
@@ -176,38 +177,28 @@ def simulated_acf(fit_result: FitResult, n_samples: int = 1000, d: float = 1.0,
 
     The fitted regime path is held fixed (the model is conditionally i.i.d.
     given the affiliations); each simulated panel draws every observation
-    from its regime's density.  Passing the scaling map computes the ACF in
-    return units, matching an ACF taken on the raw data.
+    from its regime's density, and :func:`acf_abs` takes the ACF of each.
+    Passing the scaling map computes the ACF in return units, matching an
+    ACF taken on the raw data.
     """
-    T = fit_result.shape[0]
-    if max_lag >= T:
+    if max_lag >= fit_result.shape[0]:
         raise ValueError("max_lag must be smaller than the fitted length")
     sims = _simulate_dim(fit_result, i, n_samples, seed)
     if scaling is not None:
         sims = (sims - scaling.b[i]) / scaling.a[i]
-
-    y = np.abs(sims) ** d
-    yc = y - y.mean(axis=1, keepdims=True)
-    denom = np.einsum("st,st->s", yc, yc)
-    rho = np.empty((n_samples, max_lag))
-    for lag in range(1, max_lag + 1):
-        rho[:, lag - 1] = np.einsum("st,st->s", yc[:, :-lag], yc[:, lag:]) / denom
-    return rho.mean(axis=0)
+    return acf_abs(sims, d, max_lag).mean(axis=0)
 
 
 def jump_series(fit_result: FitResult, scaling: ScalingMap, i: int = 0):
-    """Binary up/down volatility jump indicators along the hard regime path."""
-    hard = fit_result.gamma[:, :, i].argmax(axis=0)
-    v_k = regime_variances(fit_result, scaling, i)
-    T = hard.size
-    up = np.zeros(T, dtype=int)
-    down = np.zeros(T, dtype=int)
-    changed = np.nonzero(np.diff(hard) != 0)[0] + 1
-    for t in changed:
-        if v_k[hard[t]] > v_k[hard[t - 1]]:
-            up[t] = 1
-        elif v_k[hard[t]] < v_k[hard[t - 1]]:
-            down[t] = 1
+    """Binary up/down volatility jump indicators along the hard regime path.
+
+    With v_t the variance of the regime that ``fit_result.hard_path()[:, i]``
+    holds at t, up[t] = 1 where v_t > v_{t-1} and down[t] = 1 where
+    v_t < v_{t-1}; both are 0 at t = 0 and wherever the variance is equal.
+    """
+    v = regime_variances(fit_result, scaling, i)[fit_result.hard_path()[:, i]]
+    up = np.concatenate(([0], v[1:] > v[:-1])).astype(int)
+    down = np.concatenate(([0], v[1:] < v[:-1])).astype(int)
     return up, down
 
 
@@ -266,11 +257,7 @@ class RelationGraph:
         return {
             "schema": 1,
             "nodes": list(self.nodes),
-            "edges": [
-                {"source": e.source, "target": e.target, "direction": e.direction,
-                 "lag": e.lag, "p_value": e.p_value}
-                for e in self.edges
-            ],
+            "edges": [asdict(e) for e in self.edges],
         }
 
     def to_dot(self) -> str:
@@ -308,6 +295,9 @@ def transition_graph(jumps: dict[str, tuple[np.ndarray, np.ndarray]],
     below the threshold.
     """
     names = tuple(jumps.keys())
+    lengths = {name: jumps[name][0].size for name in names}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"jump series must share one length, got {lengths}")
     if len(names) < 2:
         return RelationGraph(nodes=names, edges=[])
     edges: list[GraphEdge] = []

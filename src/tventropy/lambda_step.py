@@ -139,13 +139,6 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         raise ValueError("tol must be positive")
     mu_hat = S / W
 
-    if c_lambda == 0:
-        lam = np.zeros(m)
-        log_z, _ = log_z_and_moments(lam, quad, m)
-        val = -(W * log_z)
-        return LambdaFit(lam=lam, log_z=log_z, converged=True, n_iter=0,
-                         trace=[val], objective=val)
-
     lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start).copy()
     if np.abs(lam).sum() > c_lambda:
         lam = project_l1_ball(lam, c_lambda)

@@ -21,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 MAX_ORDER = 12          # highest supported monomial degree
 DEFAULT_QUAD_ORDER = 200
+CDF_GRID_SIZE = 4097    # points of the tabulated CDF that ``sample`` inverts
 
 
 @dataclass(frozen=True)
@@ -147,37 +148,42 @@ def cdf(lam, x, quad: QuadratureRule | None = None) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def quantile(lam, alpha: float, quad: QuadratureRule | None = None,
-             max_iter: int = 200) -> float:
-    """Inverse CDF by bisection; alpha must lie strictly inside (0, 1)."""
+def quantile(lam, alpha: float, quad: QuadratureRule | None = None) -> float:
+    """Inverse CDF by bisection; alpha must lie strictly inside (0, 1).
+
+    log Z is computed once and every step evaluates the CDF at the midpoint
+    with :func:`_cdf_at`.  The bracket [-1, 1] halves exactly, so the loop
+    stops after 45 halvings, once its width is at most 1e-13.
+    """
     lam = validate_lambda(lam)
     quad = quad or gauss_legendre()
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {alpha}")
+    log_z = log_z_and_moments(lam, quad, lam.size)[0]
     lo, hi = -1.0, 1.0
-    for _ in range(max_iter):
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if cdf(lam, mid, quad) < alpha:
+        if _cdf_at(lam, log_z, np.asarray(mid), quad) < alpha:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"quantile bisection failed to bracket level {alpha} in {max_iter} iterations"
-    )
+    return 0.5 * (lo + hi)
 
 
-def _cdf_grid(lam: np.ndarray, quad: QuadratureRule, grid_size: int = 4097):
+def _cdf_grid(lam: np.ndarray, quad: QuadratureRule):
     """CDF sampled on a uniform grid, for bulk inverse-CDF sampling."""
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, CDF_GRID_SIZE)
     vals = _cdf_at(lam, log_partition(lam, quad), xs, quad)
     vals[0], vals[-1] = 0.0, 1.0
     return xs, np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
 
 
 def sample(lam, count: int, seed: int, quad: QuadratureRule | None = None) -> np.ndarray:
-    """i.i.d. draws by inverse-CDF applied to seeded uniform variates."""
+    """i.i.d. draws by inverse-CDF applied to seeded uniform variates.
+
+    The CDF is tabulated on a uniform grid of ``CDF_GRID_SIZE`` points over
+    [-1, 1] and inverted by linear interpolation with ``np.interp``.
+    """
     lam = validate_lambda(lam)
     quad = quad or gauss_legendre()
     if count < 1:
@@ -185,11 +191,7 @@ def sample(lam, count: int, seed: int, quad: QuadratureRule | None = None) -> np
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     xs, cg = _cdf_grid(lam, quad)
-    idx = np.clip(np.searchsorted(cg, u, side="right"), 1, len(xs) - 1)
-    c0, c1 = cg[idx - 1], cg[idx]
-    x0, x1 = xs[idx - 1], xs[idx]
-    frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
-    return x0 + frac * (x1 - x0)
+    return np.interp(u, cg, xs)
 
 
 def entropy(lam, quad: QuadratureRule | None = None) -> float:

@@ -72,3 +72,51 @@ def random_block_gamma_loop(k: int, T: int, n: int, c_gamma: float, seed) -> np.
             counts = np.bincount(labels[blk, i], minlength=k)
             gamma[counts.argmax(), blk, i] = 1.0
     return gamma
+
+
+def acf_abs_loop(x, d: float, max_lag: int) -> np.ndarray:
+    """Reference for ``diagnostics.acf_abs`` on one series: one dot product
+    per lag."""
+    y = np.abs(np.asarray(x, dtype=float)) ** d
+    yc = y - y.mean()
+    denom = float(yc @ yc)
+    return np.array([float(yc[:-lag] @ yc[lag:]) / denom
+                     for lag in range(1, max_lag + 1)])
+
+
+def jump_series_loop(hard: np.ndarray, v_k: np.ndarray):
+    """Reference for ``diagnostics.jump_series``: a loop over the points where
+    the hard regime path changes, comparing the two regimes' variances."""
+    up = np.zeros(hard.size, dtype=int)
+    down = np.zeros(hard.size, dtype=int)
+    for t in np.nonzero(np.diff(hard) != 0)[0] + 1:
+        if v_k[hard[t]] > v_k[hard[t - 1]]:
+            up[t] = 1
+        elif v_k[hard[t]] < v_k[hard[t - 1]]:
+            down[t] = 1
+    return up, down
+
+
+def quantile_by_cdf(lam, alpha: float, quad=None) -> float:
+    """Reference for ``maxent.quantile``: bisection on the public ``cdf``,
+    which recomputes log Z at every step."""
+    lo, hi = -1.0, 1.0
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if tv.cdf(lam, mid, quad) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sample_searchsorted(lam, count: int, seed: int) -> np.ndarray:
+    """Reference for ``maxent.sample``: the CDF table inverted by
+    ``searchsorted`` and a hand-written linear interpolation."""
+    xs, cg = tv.maxent._cdf_grid(tv.maxent.validate_lambda(lam), tv.gauss_legendre())
+    u = np.random.default_rng(seed).random(count)
+    idx = np.clip(np.searchsorted(cg, u, side="right"), 1, len(xs) - 1)
+    c0, c1 = cg[idx - 1], cg[idx]
+    x0, x1 = xs[idx - 1], xs[idx]
+    frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
+    return x0 + frac * (x1 - x0)

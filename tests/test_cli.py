@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tventropy import ModelConfig, anneal, gen_two_regime_gaussian, rescale
+from tventropy import ModelConfig, ScalingMap, anneal, gen_two_regime_gaussian, rescale
 from tventropy.cli import main
 from tventropy.model_io import (
     dumps_canonical,
@@ -14,6 +14,7 @@ from tventropy.model_io import (
     obj_to_model,
     save_model,
 )
+from tests.test_forecast import make_fit
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,27 @@ class TestFitCommand:
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])
         assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{csv}", "--k", "0"],
+    ["fit", "{csv}", "--m", "13"],
+    ["fit", "{csv}", "--cgamma", "-1"],
+    ["fit", "{csv}", "--anneal", "0"],
+    ["fit", "{csv}", "--quad-order", "1"],
+    ["simulate", "--model", "{model}", "--n-samples", "0"],
+    ["grid", "{csv}", "--kmax", "0"],
+    ["var", "{csv}", "--train-split", "300", "--model", "{model}", "--alpha", "1.5"],
+    ["acf", "{csv}", "--max-lag", "400"],
+    ["acf", "{csv}", "--dim", "3"],
+    ["acf", "{csv}", "--dim", "-1"],
+])
+def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
+    argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestGridCommand:
@@ -224,3 +246,14 @@ class TestPipelineCommands:
         obj = json.loads((tmp_path / "graph.json").read_text())
         assert obj["schema"] == 1
         assert (tmp_path / "graph.dot").read_text().startswith("digraph")
+
+    def test_graph_rejects_models_of_different_lengths(self, small_model, tmp_path, capsys):
+        short = tmp_path / "short.json"
+        save_model(str(short), make_fit([[0.0, 8.0, 0, 0], [0.0, 2.0, 0, 0]], T=300,
+                                        hard_path=[0] * 150 + [1] * 150),
+                   ScalingMap(a=np.array([0.5]), b=np.array([0.0])), labels=["s"])
+        rc = main(["graph", "--models", str(small_model), str(short),
+                   "-o", str(tmp_path / "graph")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "400" in err and "300" in err

@@ -26,8 +26,9 @@ from tventropy import (
     transition_graph,
     variance_path,
 )
-from tventropy.diagnostics import lagged_table
+from tventropy.diagnostics import lagged_table, regime_variances
 from tventropy.forecast import kupiec_test  # noqa: F401  (shared fixtures import)
+from tests.helpers import acf_abs_loop, jump_series_loop
 from tests.test_forecast import make_fit
 
 IDENTITY = ScalingMap(a=np.array([1.0]), b=np.array([0.0]))
@@ -165,6 +166,23 @@ class TestAcf:
         with pytest.raises(DegenerateSeries):
             acf_abs(rng.standard_normal(100), d=0.0, max_lag=5)
 
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(14)
+        X = rng.standard_t(4, size=(6, 300))
+        for d in (0.5, 1.0, 2.0):
+            rho = acf_abs(X, d=d, max_lag=40)
+            assert rho.shape == (6, 40)
+            rows = np.stack([acf_abs(x, d=d, max_lag=40) for x in X])
+            np.testing.assert_allclose(rho, rows, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rows, [acf_abs_loop(x, d, 40) for x in X],
+                                       rtol=0, atol=1e-15)
+
+    def test_stack_with_constant_row_raises(self):
+        X = np.random.default_rng(15).standard_normal((4, 100))
+        X[2] = -0.3
+        with pytest.raises(DegenerateSeries):
+            acf_abs(X, d=1.0, max_lag=5)
+
     def test_bands_zero_rho(self):
         iid, ma = acf_bands(np.zeros(10), 10_000)
         np.testing.assert_allclose(iid, 1.96 / 100)
@@ -232,6 +250,19 @@ class TestJumpSeries:
         fit_result = make_fit(lam, T=6, hard_path=hard)
         up, down = jump_series(fit_result, IDENTITY)
         assert abs(int(up.sum()) - int(down.sum())) <= 1
+
+    def test_matches_loop_random_k3(self):
+        # regimes 0 and 2 share one density, so some switches change nothing
+        lam = [[0.0, 30.0, 0, 0, 0, 0], [0.5, 4.0, 0, 1.0, 0, 0], [0.0, 30.0, 0, 0, 0, 0]]
+        scaling = ScalingMap(a=np.array([12.0]), b=np.array([0.05]))
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            hard = np.repeat(rng.integers(0, 3, 40), rng.integers(1, 6, 40))
+            fit_result = make_fit(lam, T=hard.size, hard_path=hard)
+            up, down = jump_series(fit_result, scaling)
+            ref_up, ref_down = jump_series_loop(hard, regime_variances(fit_result, scaling))
+            np.testing.assert_array_equal(up, ref_up)
+            np.testing.assert_array_equal(down, ref_down)
 
 
 class TestFisherExact:

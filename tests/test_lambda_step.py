@@ -146,9 +146,12 @@ class TestFitLambda:
 
     def test_c_zero_returns_zero(self):
         F = feature_matrix(np.array([[0.3], [-0.7], [0.5]]), 4)
-        res = fit_lambda(F, np.ones((3, 1)), c_lambda=0.0)
-        np.testing.assert_array_equal(res.lam, np.zeros(4))
-        assert res.converged
+        for warm_start in (None, [0.4, -2.0, 1.5, 0.1]):
+            res = fit_lambda(F, np.ones((3, 1)), c_lambda=0.0, warm_start=warm_start)
+            np.testing.assert_array_equal(res.lam, np.zeros(4))
+            assert res.converged
+            assert res.log_z == pytest.approx(math.log(2.0), abs=1e-14)
+            assert res.objective == res.trace[-1] == -3.0 * res.log_z
 
     def test_constraint_respected(self):
         rng = np.random.default_rng(7)

@@ -19,6 +19,7 @@ from tventropy import (
     quantile,
     sample,
 )
+from tests.helpers import quantile_by_cdf, sample_searchsorted
 
 LN2 = math.log(2.0)
 
@@ -144,8 +145,25 @@ class TestCdfQuantile:
             for alpha in (0.01, 0.05, 0.5, 0.95):
                 assert cdf(lam, quantile(lam, alpha)) == pytest.approx(alpha, abs=1e-6)
 
+    def test_identical_to_bisection_on_cdf(self):
+        rng = np.random.default_rng(17)
+        quad = gauss_legendre(64)
+        for _ in range(12):
+            lam = rng.normal(0.0, 4.0, size=int(rng.integers(1, 9)))
+            for alpha in (0.01, 0.05, 0.5, 0.95, 0.99):
+                assert quantile(lam, alpha) == quantile_by_cdf(lam, alpha)
+                assert quantile(lam, alpha, quad) == quantile_by_cdf(lam, alpha, quad)
+
 
 class TestSample:
+    def test_matches_searchsorted_interpolation(self):
+        rng = np.random.default_rng(18)
+        for seed in range(10):
+            lam = rng.normal(0.0, 4.0, size=int(rng.integers(1, 9)))
+            np.testing.assert_allclose(sample(lam, 50_000, seed=seed),
+                                       sample_searchsorted(lam, 50_000, seed=seed),
+                                       rtol=0, atol=np.finfo(float).eps)
+
     def test_uniform_law(self):
         draws = sample(np.zeros(6), 100_000, seed=5)
         assert abs(draws.mean()) < 0.01
