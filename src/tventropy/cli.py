@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import diagnostics, forecast, model_io
 from .errors import TvEntropyError
@@ -25,23 +24,27 @@ from .panel import Panel, load_csv, rescale
 
 
 def _config_from_args(args) -> ModelConfig:
-    c_lam = math.inf if args.clambda is None else args.clambda
-    return ModelConfig(
-        k=args.k,
-        c_gamma=args.cgamma,
-        c_lambda=c_lam,
-        m=args.m,
-        n_anneal=args.anneal,
-        quad_order=args.quad_order,
-        seed=args.seed,
-    )
+    """The model settings a subcommand takes; the rest keep their defaults."""
+    return ModelConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(ModelConfig) if hasattr(args, f.name)})
+
+
+def _add_model_opts(p):
+    p.add_argument("--k", type=int, default=ModelConfig.k, help="number of regimes")
+    p.add_argument("--cgamma", type=float, default=ModelConfig.c_gamma, dest="c_gamma",
+                   metavar="CGAMMA", help="switch budget per regime")
+    p.add_argument("--clambda", type=float, default=ModelConfig.c_lambda, dest="c_lambda",
+                   metavar="CLAMBDA", help="l1 bound (default unbounded)")
 
 
 def _add_common(p):
-    p.add_argument("--m", type=int, default=6, help="moment order (default 6)")
-    p.add_argument("--anneal", type=int, default=10, help="annealing restarts (default 10)")
-    p.add_argument("--quad-order", type=int, default=200, dest="quad_order")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=int, default=ModelConfig.m,
+                   help=f"moment order (default {ModelConfig.m})")
+    p.add_argument("--anneal", type=int, default=ModelConfig.n_anneal, dest="n_anneal",
+                   metavar="ANNEAL", help=f"annealing restarts (default {ModelConfig.n_anneal})")
+    p.add_argument("--quad-order", type=int, default=ModelConfig.quad_order,
+                   dest="quad_order")
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
 
 def _add_csv_opts(p):
@@ -74,13 +77,11 @@ def cmd_grid(args) -> int:
     panel = load_csv(args.csv, delimiter=args.delimiter, header=args.header)
     scaled, scaling = rescale(panel)
     # grid_search sets K, C_gamma and the l1 bounds of every cell itself
-    config = ModelConfig(m=args.m, n_anneal=args.anneal, quad_order=args.quad_order,
-                         seed=args.seed)
     report = grid_search(
         scaled.values,
         k_grid=range(1, args.kmax + 1),
         c_gamma_grid=range(1, args.cgamma_max + 1),
-        config=config,
+        config=_config_from_args(args),
         stage2_points=args.stage2_points,
         jobs=args.jobs,
     )
@@ -207,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="estimate one model from a CSV panel")
     _add_csv_opts(p)
-    p.add_argument("--k", type=int, default=2, help="number of regimes")
-    p.add_argument("--cgamma", type=float, default=3.0, help="switch budget per regime")
-    p.add_argument("--clambda", type=float, default=None, help="l1 bound (default unbounded)")
+    _add_model_opts(p)
     _add_common(p)
     p.add_argument("-o", "--output", default="model.json")
     p.set_defaults(func=cmd_fit)
@@ -261,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="coverage level; repeatable (default 0.95 and 0.99)")
     p.add_argument("--model", default=None, help="reuse a saved model instead of fitting")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--cgamma", type=float, default=3.0)
-    p.add_argument("--clambda", type=float, default=None)
+    _add_model_opts(p)
     p.add_argument("--switch-penalty", type=float, default=0.0, dest="switch_penalty")
     _add_common(p)
     p.add_argument("-o", "--output", default="var.csv")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gamma_step import AffiliationSolver, build_scores
-from .lambda_step import feature_matrix, fit_lambda, project_l1_ball, sparsify
-from .maxent import MAX_ORDER, gauss_legendre, log_partition
+from .lambda_step import (DEFAULT_MAX_ITER, DEFAULT_TOL, feature_matrix, fit_lambda,
+                          project_l1_ball, sparsify)
+from .maxent import DEFAULT_QUAD_ORDER, MAX_ORDER, gauss_legendre, log_partition
 from .panel import Panel
 
 
@@ -39,13 +40,13 @@ class ModelConfig:
     c_lambda: tuple | float = math.inf   # l1 bound(s); scalar broadcasts over regimes
     m: int = 6                      # moment order
     n_anneal: int = 10
-    quad_order: int = 200
+    quad_order: int = DEFAULT_QUAD_ORDER
     tol_outer: float = 1e-6
     max_outer_iter: int = 200
     seed: int = 0
     eps_sparse: float = 1e-5
-    tol_lambda: float = 1e-7
-    max_lambda_iter: int = 5000
+    tol_lambda: float = DEFAULT_TOL
+    max_lambda_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if self.k < 1:
@@ -308,19 +309,25 @@ class SelectionReport:
         return self.best_fit.bic
 
 
+def _anneal_or_continue(values, cfg: ModelConfig, warm: FitResult | None) -> FitResult:
+    """``anneal`` under ``cfg``; with ``warm`` given, also one fit started from
+    its solution, kept only if its objective is strictly higher."""
+    result = anneal(values, cfg)
+    if warm is not None:
+        cont = fit(values, cfg, gamma0=warm.gamma, lambda0=warm.lambdas)
+        if cont.objective > result.objective:
+            result = cont
+    return result
+
+
 def _fit_lane(args):
     values, base, k, c_grid = args
     lane = []
     prev: FitResult | None = None
     for c in c_grid:
         cfg = replace(base, k=k, c_gamma=float(c), c_lambda=math.inf)
-        result = anneal(values, cfg)
-        if prev is not None:
-            cont = fit(values, cfg, gamma0=prev.gamma, lambda0=prev.lambdas)
-            if cont.objective > result.objective:
-                result = cont
-        lane.append(result)
-        prev = result
+        prev = _anneal_or_continue(values, cfg, prev)
+        lane.append(prev)
     return lane
 
 
@@ -368,10 +375,7 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
             c_lam = tuple(float(s) * norms)
             cfg = replace(base, k=winner.config.k, c_gamma=winner.config.c_gamma,
                           c_lambda=c_lam)
-            result = anneal(values, cfg)
-            cont = fit(values, cfg, gamma0=winner.gamma, lambda0=winner.lambdas)
-            if cont.objective > result.objective:
-                result = cont
+            result = _anneal_or_continue(values, cfg, winner)
             k_star = tuple(sparsify(result.lambdas[k], base.eps_sparse)[1]
                            for k in range(result.k))
             stage2.append(Stage2Cell(scale=float(s), c_lambda=c_lam,

@@ -10,11 +10,13 @@ affiliation field gamma, so the best gamma solves
 ``scores[k,t,i]`` is the log-density of observation (t,i) under regime k.
 The simplex constraint lets us eliminate the last regime's weights; auxiliary
 variables bound the absolute temporal differences, giving one budget row per
-regime.  The LP is solved exactly with HiGHS dual simplex.  When the
-per-point argmax assignment already satisfies every budget the LP is
-skipped: that assignment is optimal by construction.
+regime.  The LP is solved exactly with HiGHS dual simplex through scipy's
+vendored HiGHS bindings (``scipy.optimize._highspy``, scipy >= 1.15); there
+is no other solve path.  When the per-point argmax assignment already
+satisfies every budget the LP is skipped: that assignment is optimal by
+construction.
 
-``AffiliationSolver`` keeps one HiGHS model alive across repeated solves
+``AffiliationSolver`` keeps one HiGHS session alive across repeated solves
 with changing scores, so the simplex restarts from the previous basis; the
 outer alternation changes the objective only a little per iteration, which
 makes the warm-started re-solves far cheaper than cold ones.  The LP's
@@ -28,15 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core as _hc
 
 from .errors import SolverError
-
-try:                                        # vendored HiGHS bindings
-    from scipy.optimize._highspy import _core as _hc
-    _HAVE_HIGHS_CORE = hasattr(_hc, "_Highs")
-except ImportError:                          # pragma: no cover
-    _hc = None
-    _HAVE_HIGHS_CORE = False
 
 PREFERENCE_WEIGHT = 1e-9    # infinitesimal pull toward the previous affiliation
 
@@ -60,12 +56,8 @@ def tv_norm(gamma: np.ndarray, k: int) -> float:
 
 def hard_assignment(scores: np.ndarray) -> np.ndarray:
     """Binary field putting full mass on the per-point argmax (ties -> lowest k)."""
-    K, T, n = scores.shape
-    hard = scores.argmax(axis=0)
-    gamma = np.zeros((K, T, n))
-    tt, ii = np.meshgrid(np.arange(T), np.arange(n), indexing="ij")
-    gamma[hard, tt, ii] = 1.0
-    return gamma
+    K = scores.shape[0]
+    return (scores.argmax(axis=0) == np.arange(K)[:, None, None]).astype(float)
 
 
 @lru_cache(maxsize=8)
@@ -128,19 +120,9 @@ class AffiliationSolver:
         self._n_eta = K * (T - 1) * n
         self._gamma_cols = np.arange(self._n_gamma, dtype=np.int32)
 
-    def _row_bounds(self):
-        K, T, n = self.K, self.T, self.n
-        upper = np.concatenate([
-            np.zeros(2 * K * (T - 1) * n),
-            np.ones(T * n),
-            np.full(K, self.c_gamma),
-        ])
-        lower = np.full(upper.size, -np.inf)
-        return lower, upper
-
     def _build_highs(self):
-        A = _constraint_matrix(self.K, self.T, self.n)
-        lower, upper = self._row_bounds()
+        K, T, n = self.K, self.T, self.n
+        A = _constraint_matrix(K, T, n)
         lp = _hc.HighsLp()
         lp.num_col_ = self._n_gamma + self._n_eta
         lp.num_row_ = A.shape[0]
@@ -148,8 +130,10 @@ class AffiliationSolver:
         lp.col_lower_ = np.zeros(lp.num_col_)
         lp.col_upper_ = np.concatenate([
             np.ones(self._n_gamma), np.full(self._n_eta, np.inf)])
-        lp.row_lower_ = lower
-        lp.row_upper_ = upper
+        lp.row_lower_ = np.full(A.shape[0], -np.inf)
+        # difference rows <= 0, simplex rows <= 1, one budget row per regime
+        lp.row_upper_ = np.concatenate([
+            np.zeros(2 * K * (T - 1) * n), np.ones(T * n), np.full(K, self.c_gamma)])
         lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
         lp.a_matrix_.start_ = A.indptr.astype(np.int64)
         lp.a_matrix_.index_ = A.indices.astype(np.int32)
@@ -167,33 +151,18 @@ class AffiliationSolver:
     def _solve_lp(self, eff: np.ndarray) -> np.ndarray:
         diff = eff[:-1] - eff[-1]
         cost_gamma = -diff.reshape(self._n_gamma)
-        if _HAVE_HIGHS_CORE:
-            if self._highs is None:
-                self._highs = self._build_highs()
-            h = self._highs
-            # set form (count, indices, costs); the interval form is not bound
-            status = h.changeColsCost(self._n_gamma, self._gamma_cols, cost_gamma)
-            if status != _hc.HighsStatus.kOk:
-                raise SolverError("affiliation LP rejected the objective update")
-            h.run()
-            if h.getModelStatus() != _hc.HighsModelStatus.kOptimal:
-                raise SolverError(
-                    f"affiliation LP failed: {h.modelStatusToString(h.getModelStatus())}")
-            x = np.asarray(h.getSolution().col_value)
-        else:                                # scipy without the HiGHS core bindings
-            from scipy.optimize import linprog
-
-            A = _constraint_matrix(self.K, self.T, self.n)
-            _, upper = self._row_bounds()
-            c = np.concatenate([cost_gamma, np.zeros(self._n_eta)])
-            bounds = [(0.0, 1.0)] * self._n_gamma + [(0.0, None)] * self._n_eta
-            res = linprog(c, A_ub=A, b_ub=upper, bounds=bounds, method="highs",
-                          options={"presolve": False,
-                                   "primal_feasibility_tolerance": 1e-9,
-                                   "dual_feasibility_tolerance": 1e-9})
-            if res.status != 0:
-                raise SolverError(f"affiliation LP failed: {res.message}")
-            x = res.x
+        if self._highs is None:
+            self._highs = self._build_highs()
+        h = self._highs
+        # set form (count, indices, costs); the interval form is not bound
+        status = h.changeColsCost(self._n_gamma, self._gamma_cols, cost_gamma)
+        if status != _hc.HighsStatus.kOk:
+            raise SolverError("affiliation LP rejected the objective update")
+        h.run()
+        if h.getModelStatus() != _hc.HighsModelStatus.kOptimal:
+            raise SolverError(
+                f"affiliation LP failed: {h.modelStatusToString(h.getModelStatus())}")
+        x = np.asarray(h.getSolution().col_value)
         top = x[: self._n_gamma].reshape(self.K - 1, self.T, self.n)
         gamma = np.concatenate([top, (1.0 - top.sum(axis=0))[None]], axis=0)
         gamma = np.clip(gamma, 0.0, None)

@@ -26,34 +26,35 @@ SCHEMA_VERSION = 1
 
 def _rle_encode(gamma: np.ndarray) -> list:
     """Per dimension: runs of consecutive equal affiliation vectors."""
-    K, T, n = gamma.shape
     dims = []
-    for i in range(n):
-        runs = []
-        t = 0
-        while t < T:
-            vec = gamma[:, t, i]
-            length = 1
-            while t + length < T and np.array_equal(gamma[:, t + length, i], vec):
-                length += 1
-            runs.append([length, [float(v) for v in vec]])
-            t += length
-        dims.append(runs)
+    for g in gamma.transpose(2, 1, 0):                  # (T, K) per dimension
+        starts = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]).any(axis=1)])
+        lengths = np.diff(np.r_[starts, len(g)])
+        dims.append([[int(length), g[t].tolist()] for t, length in zip(starts, lengths)])
     return dims
 
 
 def _rle_decode(dims: list, K: int) -> np.ndarray:
-    n = len(dims)
+    """Inverse of ``_rle_encode``; a malformed run list raises ``ValueError``."""
+    if not dims:
+        raise ValueError("model file has no affiliation dimensions")
     cols = []
-    for runs in dims:
-        col = np.concatenate([np.tile(np.asarray(vec, dtype=float)[:, None], (1, length))
-                              for length, vec in runs], axis=1)
-        cols.append(col)
-    T = cols[0].shape[1]
-    gamma = np.empty((K, T, n))
-    for i, col in enumerate(cols):
-        gamma[:, :, i] = col
-    return gamma
+    for i, runs in enumerate(dims):
+        if not runs:
+            raise ValueError(f"affiliation dimension {i} has no runs")
+        lengths = np.asarray([length for length, _ in runs])
+        if lengths.dtype.kind not in "iu" or lengths.min() < 1:
+            raise ValueError(f"affiliation dimension {i} has a run length that is "
+                             "not a positive integer")
+        if any(not isinstance(vec, list) or len(vec) != K for _, vec in runs):
+            raise ValueError(f"affiliation dimension {i} has a vector whose length "
+                             f"is not K={K}")
+        cols.append(np.repeat(np.asarray([vec for _, vec in runs], dtype=float).T,
+                              lengths, axis=1))     # (K, T)
+    totals = sorted({col.shape[1] for col in cols})
+    if len(totals) > 1:
+        raise ValueError(f"affiliation dimensions have unequal lengths {totals}")
+    return np.stack(cols, axis=2)
 
 
 def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dict:

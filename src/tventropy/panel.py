@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class Panel:
 
     values: np.ndarray
     labels: tuple[str, ...] = ()
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -41,11 +40,6 @@ class Panel:
         if len(labels) != values.shape[1]:
             raise ValueError("label count does not match column count")
         object.__setattr__(self, "labels", labels)
-        if self.timestamps is not None:
-            ts = tuple(self.timestamps)
-            if len(ts) != values.shape[0]:
-                raise ValueError("timestamp count does not match row count")
-            object.__setattr__(self, "timestamps", ts)
 
     @property
     def T(self) -> int:
@@ -100,11 +94,10 @@ class DescriptiveStats:
     n_obs: tuple[int, ...]
     skewness: np.ndarray
     kurtosis: np.ndarray
-    excess_kurtosis: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.excess_kurtosis is None:
-            object.__setattr__(self, "excess_kurtosis", self.kurtosis - 3.0)
+    @property
+    def excess_kurtosis(self) -> np.ndarray:
+        return self.kurtosis - 3.0
 
 
 def load_csv(path, delimiter: str = ",", header: bool = False) -> Panel:
@@ -158,7 +151,7 @@ def rescale(panel: Panel) -> tuple[Panel, ScalingMap]:
     b = -(hi + lo) / (hi - lo)
     scaling = ScalingMap(a=a, b=b)
     scaled = np.clip(scaling.apply(panel.values), -1.0, 1.0)  # guard rounding at the ends
-    return Panel(values=scaled, labels=panel.labels, timestamps=panel.timestamps), scaling
+    return Panel(values=scaled, labels=panel.labels), scaling
 
 
 def descriptive_stats(panel: Panel) -> DescriptiveStats:

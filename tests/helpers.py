@@ -120,3 +120,65 @@ def sample_searchsorted(lam, count: int, seed: int) -> np.ndarray:
     x0, x1 = xs[idx - 1], xs[idx]
     frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
     return x0 + frac * (x1 - x0)
+
+
+def affiliation_lp_optimum(scores: np.ndarray, c_gamma: float) -> float:
+    """Reference optimum of the affiliation LP, solved by ``linprog``.
+
+    Written apart from ``gamma_step._constraint_matrix``: every regime keeps
+    its own weights (no elimination), the simplex rows are equalities, and
+    one auxiliary d[k,t,i] >= |gamma[k,t+1,i] - gamma[k,t,i]| per difference
+    feeds the budget row sum_{t,i} d[k,t,i] <= c_gamma of regime k.
+    """
+    from scipy.optimize import linprog
+
+    K, T, n = scores.shape
+    g = np.arange(K * T * n).reshape(K, T, n)                 # gamma columns
+    d = K * T * n + np.arange(K * (T - 1) * n).reshape(K, T - 1, n)
+    n_var = K * T * n + K * (T - 1) * n
+    A_ub, b_ub = [], []
+    for k in range(K):
+        for t in range(T - 1):
+            for i in range(n):
+                for sign in (1.0, -1.0):
+                    row = np.zeros(n_var)
+                    row[g[k, t + 1, i]] = sign
+                    row[g[k, t, i]] = -sign
+                    row[d[k, t, i]] = -1.0
+                    A_ub.append(row)
+                    b_ub.append(0.0)
+        row = np.zeros(n_var)
+        row[d[k].ravel()] = 1.0
+        A_ub.append(row)
+        b_ub.append(c_gamma)
+    A_eq = np.zeros((T * n, n_var))
+    for t in range(T):
+        for i in range(n):
+            A_eq[t * n + i, g[:, t, i]] = 1.0
+    cost = np.zeros(n_var)
+    cost[: K * T * n] = -scores.ravel()
+    res = linprog(cost, A_ub=np.array(A_ub), b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(T * n),
+                  bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def rle_encode_loop(gamma: np.ndarray) -> list:
+    """Reference for ``model_io._rle_encode``: grow each run one time step at
+    a time with ``np.array_equal``."""
+    K, T, n = gamma.shape
+    dims = []
+    for i in range(n):
+        runs = []
+        t = 0
+        while t < T:
+            vec = gamma[:, t, i]
+            length = 1
+            while t + length < T and np.array_equal(gamma[:, t + length, i], vec):
+                length += 1
+            runs.append([length, [float(v) for v in vec]])
+            t += length
+        dims.append(runs)
+    return dims

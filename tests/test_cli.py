@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from tventropy import ModelConfig, ScalingMap, anneal, gen_two_regime_gaussian, rescale
-from tventropy.cli import main
+from tventropy.cli import _config_from_args, build_parser, main
 from tventropy.model_io import (
+    _rle_encode,
     dumps_canonical,
     load_model,
     model_to_obj,
     obj_to_model,
     save_model,
 )
+from tests.helpers import rle_encode_loop
 from tests.test_forecast import make_fit
 
 
@@ -85,6 +87,50 @@ class TestModelFile:
         del obj["config"]["tol_lambda"], obj["config"]["max_lambda_iter"]
         config = obj_to_model(obj)[0].config
         assert (config.tol_lambda, config.max_lambda_iter) == (1e-7, 5000)
+
+    def test_rle_matches_loop_encoder(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            K, T, n = (int(rng.integers(1, 4)), int(rng.integers(1, 30)),
+                       int(rng.integers(1, 4)))
+            # short runs of repeated vectors: binary, fractional, and -0.0
+            hard = np.repeat(rng.integers(0, K, size=T), rng.integers(1, 4, size=T))[:T]
+            gamma = np.zeros((K, T, n))
+            gamma[hard, np.arange(T)] = 1.0
+            frac = rng.random((K, T, n))
+            cols = rng.random(T) < 0.3
+            gamma[:, cols] = (frac / frac.sum(axis=0))[:, cols]
+            gamma[gamma == 0.0] *= np.where(rng.random((gamma == 0.0).sum()) < 0.5, -1.0, 1.0)
+            assert dumps_canonical(_rle_encode(gamma)) == dumps_canonical(
+                rle_encode_loop(gamma))
+
+    @pytest.mark.parametrize("runs, fault", [
+        ([], "no affiliation dimensions"),
+        ([[]], "dimension 0 has no runs"),
+        ([[[0, [1.0, 0.0]], [400, [0.0, 1.0]]]], "not a positive integer"),
+        ([[[400, [1.0, 0.0, 0.0]]]], "not K=2"),
+        ([[[400, 1.0]]], "not K=2"),
+        ([[[400, [1.0, 0.0]]], [[399, [0.0, 1.0]]]], "unequal lengths"),
+    ])
+    def test_malformed_runs_rejected(self, small_model, tmp_path, capsys, runs, fault):
+        obj = json.loads(small_model.read_text())
+        obj["gamma_rle"] = runs
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_canonical(obj))
+        with pytest.raises(ValueError, match=fault):
+            load_model(str(path))
+        assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "x.csv"],
+    ["var", "x.csv", "--train-split", "300"],
+    ["grid", "x.csv"],
+])
+def test_default_flags_give_default_config(argv):
+    assert _config_from_args(build_parser().parse_args(argv)) == ModelConfig()
 
 
 class TestFitCommand:

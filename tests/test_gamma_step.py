@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, tv_norm
 from tventropy import gamma_step
 from tventropy.gamma_step import AffiliationSolver
+from tests.helpers import affiliation_lp_optimum
 
 LN2 = math.log(2.0)
 
@@ -184,18 +187,28 @@ class TestAffiliationSolver:
                 lp_obj = float((gamma * scores).sum())
                 assert lp_obj >= enumerate_binary_max(scores, c_gamma) - 1e-9
 
-    def test_linprog_fallback_matches_highs_core(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        cases = []
-        for _ in range(20):
-            K = int(rng.integers(2, 4))
-            n = int(rng.integers(1, 3))
-            T = int(rng.integers(2, 8))
-            c_gamma = float(rng.choice([0, 1, 2, 3, 0.5, 1.5]))
-            cases.append((rng.normal(size=(K, T, n)), c_gamma))
-        core = [float((solve_gamma(s, c) * s).sum()) for s, c in cases]
-        monkeypatch.setattr(gamma_step, "_HAVE_HIGHS_CORE", False)
-        for (scores, c_gamma), want in zip(cases, core):
-            gamma = solve_gamma(scores, c_gamma)
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(K=st.integers(2, 4), T=st.integers(2, 8), n=st.integers(1, 3),
+           c_gamma=st.floats(0.0, 4.0), use_prev=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reused_solver_matches_linprog_oracle(self, K, T, n, c_gamma, use_prev, seed):
+        # one hot-started session over several score draws; with use_prev each
+        # solve gets the previous result as gamma_prev, as in the outer fit
+        rng = np.random.default_rng(seed)
+        solver = AffiliationSolver(K, T, n, c_gamma)
+        prev = None
+        for _ in range(4):
+            scores = rng.normal(size=(K, T, n))
+            gamma = solver.solve(scores, gamma_prev=prev)
             check_feasible(gamma, c_gamma)
-            assert float((gamma * scores).sum()) == pytest.approx(want, abs=1e-9)
+            obj = float((gamma * scores).sum())
+            want = affiliation_lp_optimum(scores, c_gamma)
+            if prev is None:
+                assert abs(obj - want) <= 1e-9
+            else:
+                # the tie-break term may cost at most PREFERENCE_WEIGHT per point
+                slack = gamma_step.PREFERENCE_WEIGHT * T * n
+                assert want - slack - 1e-9 <= obj <= want + 1e-9
+                assert obj >= float((prev * scores).sum()) - 1e-12
+            if use_prev:
+                prev = gamma

@@ -7,6 +7,7 @@ import pytest
 
 from tventropy import (
     DegenerateDimension,
+    DescriptiveStats,
     EmptyInput,
     Panel,
     ParseError,
@@ -134,6 +135,13 @@ class TestDescriptiveStats:
         assert abs(stats.skewness[0]) < 0.03
         assert stats.kurtosis[0] == pytest.approx(3.0, abs=0.1)
         assert stats.excess_kurtosis[0] == pytest.approx(0.0, abs=0.1)
+
+    def test_excess_kurtosis_follows_kurtosis(self):
+        stats = DescriptiveStats(n_obs=(10,), skewness=np.zeros(1), kurtosis=np.array([4.5]))
+        np.testing.assert_array_equal(stats.excess_kurtosis, [1.5])
+        with pytest.raises(TypeError):
+            DescriptiveStats(n_obs=(10,), skewness=np.zeros(1), kurtosis=np.array([4.5]),
+                             excess_kurtosis=np.array([0.0]))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(9)
