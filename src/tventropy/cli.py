@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
 from dataclasses import asdict, fields
 
@@ -29,6 +30,11 @@ def _config_from_args(args) -> ModelConfig:
                           for f in fields(ModelConfig) if hasattr(args, f.name)})
 
 
+def _default(fn, name: str):
+    """The library's own default of ``fn``'s parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _add_model_opts(p):
     p.add_argument("--k", type=int, default=ModelConfig.k, help="number of regimes")
     p.add_argument("--cgamma", type=float, default=ModelConfig.c_gamma, dest="c_gamma",
@@ -42,8 +48,7 @@ def _add_common(p):
                    help=f"moment order (default {ModelConfig.m})")
     p.add_argument("--anneal", type=int, default=ModelConfig.n_anneal, dest="n_anneal",
                    metavar="ANNEAL", help=f"annealing restarts (default {ModelConfig.n_anneal})")
-    p.add_argument("--quad-order", type=int, default=ModelConfig.quad_order,
-                   dest="quad_order")
+    p.add_argument("--quad-order", type=int, default=ModelConfig.quad_order)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
 
@@ -92,9 +97,8 @@ def cmd_grid(args) -> int:
         "chosen": {
             "k": report.chosen_k,
             "c_gamma": report.chosen_c_gamma,
-            "c_lambda": None if report.chosen_c_lambda is None
-            else list(report.chosen_c_lambda),
-            "k_star": list(report.chosen_k_star),
+            "c_lambda": report.chosen_c_lambda,
+            "k_star": report.chosen_k_star,
             "bic": report.chosen_bic,
         },
     }
@@ -173,7 +177,7 @@ def cmd_var(args) -> int:
         scaled, scaling = rescale(train)
         fit_result = anneal(scaled.values, _config_from_args(args))
     result = forecast.backtest(fit_result, scaling, test_values,
-                               alphas=args.alpha or [0.95, 0.99],
+                               alphas=args.alpha or _default(forecast.backtest, "alphas"),
                                labels=panel.labels,
                                switch_penalty=args.switch_penalty)
     rows = list(result.rows())
@@ -216,52 +220,56 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="two-stage (K, C_gamma) then C_lambda selection")
     _add_csv_opts(p)
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--cgamma-max", type=int, default=50, dest="cgamma_max")
-    p.add_argument("--stage2-points", type=int, default=12, dest="stage2_points",
+    p.add_argument("--cgamma-max", type=int, default=50)
+    p.add_argument("--stage2-points", type=int, default=_default(grid_search, "stage2_points"),
                    help="l1 grid size for stage 2 (0 disables)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=_default(grid_search, "jobs"))
     _add_common(p)
     p.add_argument("-o", "--output", default="grid.json")
-    p.add_argument("--output-csv", default="grid.csv", dest="output_csv")
-    p.add_argument("--model-output", default=None, dest="model_output",
-                   help="also save the chosen model here")
+    p.add_argument("--output-csv", default="grid.csv")
+    p.add_argument("--model-output", default=None, help="also save the chosen model here")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gen-synthetic", help="two-regime Gaussian test panel")
     p.add_argument("--v2", type=float, default=4.0, help="variance of the second regime")
-    p.add_argument("--t", type=int, default=1000)
-    p.add_argument("--switch-period", type=int, default=250, dest="switch_period")
+    gen = diagnostics.gen_two_regime_gaussian
+    p.add_argument("--t", type=int, default=_default(gen, "T"))
+    p.add_argument("--switch-period", type=int, default=_default(gen, "switch_period"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="synthetic.csv")
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("simulate", help="draw panels from a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--n-samples", type=int, default=1, dest="n_samples")
+    p.add_argument("--n-samples", type=int,
+                   default=_default(diagnostics.simulate_panels, "n_samples"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="simulated.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("acf", help="|x|^d autocorrelation with confidence bands")
     _add_csv_opts(p)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--max-lag", type=int, default=100, dest="max_lag")
+    p.add_argument("--d", type=float, default=_default(diagnostics.acf_abs, "d"))
+    p.add_argument("--max-lag", type=int, default=100)
     p.add_argument("--dim", type=int, default=0)
     p.add_argument("--model", default=None, help="add the model-simulated mean ACF")
-    p.add_argument("--n-samples", type=int, default=1000, dest="n_samples")
+    p.add_argument("--n-samples", type=int,
+                   default=_default(diagnostics.simulated_acf, "n_samples"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="acf.csv")
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("var", help="walk-forward VaR backtest with Kupiec test")
     _add_csv_opts(p)
-    p.add_argument("--train-split", type=int, required=True, dest="train_split",
+    p.add_argument("--train-split", type=int, required=True,
                    help="row index where the test window starts")
+    alphas = " and ".join(map(str, _default(forecast.backtest, "alphas")))
     p.add_argument("--alpha", type=float, action="append", default=None,
-                   help="coverage level; repeatable (default 0.95 and 0.99)")
+                   help=f"coverage level; repeatable (default {alphas})")
     p.add_argument("--model", default=None, help="reuse a saved model instead of fitting")
     _add_model_opts(p)
-    p.add_argument("--switch-penalty", type=float, default=0.0, dest="switch_penalty")
+    p.add_argument("--switch-penalty", type=float,
+                   default=_default(forecast.backtest, "switch_penalty"))
     _add_common(p)
     p.add_argument("-o", "--output", default="var.csv")
     p.set_defaults(func=cmd_var)
@@ -269,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="latent transition relation graph")
     p.add_argument("--models", nargs="+", required=True,
                    help="saved per-asset model files")
-    p.add_argument("--lag-max", type=int, default=5, dest="lag_max")
-    p.add_argument("--p-threshold", type=float, default=0.01, dest="p_threshold")
+    graph = diagnostics.transition_graph
+    p.add_argument("--lag-max", type=int, default=_default(graph, "max_lag"))
+    p.add_argument("--p-threshold", type=float, default=_default(graph, "p_threshold"))
     p.add_argument("-o", "--output", default="graph",
                    help="output prefix for .json and .dot")
     p.set_defaults(func=cmd_graph)

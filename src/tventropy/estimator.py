@@ -51,12 +51,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one regime")
-        if self.c_gamma < 0:
-            raise ValueError("c_gamma must be nonnegative")
         if not 1 <= self.m <= MAX_ORDER:
             raise ValueError(f"moment order must be in 1..{MAX_ORDER}")
-        if self.n_anneal < 1:
-            raise ValueError("n_anneal must be >= 1")
+        if min(self.n_anneal, self.max_outer_iter, self.max_lambda_iter) < 1 or self.quad_order < 2:
+            raise ValueError("n_anneal, max_outer_iter and max_lambda_iter must be >= 1, "
+                             "quad_order >= 2")
+        if not (self.c_gamma >= 0 and self.tol_outer >= 0 and self.eps_sparse >= 0
+                and self.tol_lambda > 0):
+            raise ValueError("c_gamma, tol_outer and eps_sparse must be nonnegative, "
+                             "tol_lambda positive")
 
     def c_lambda_per_regime(self) -> np.ndarray:
         c = np.asarray(self.c_lambda, dtype=float)
@@ -148,8 +151,6 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     the data.
     """
     values = _as_values(panel)
-    if np.any(np.abs(values) > 1.0 + 1e-9):
-        raise ValueError("fit expects values scaled into [-1, 1]; run rescale first")
     T, n = values.shape
     K, m = config.k, config.m
     quad = gauss_legendre(config.quad_order)
@@ -212,40 +213,40 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     hard = gamma.argmax(axis=0)
     degenerate = K > 1 and np.unique(hard).size == 1
     p = _param_count(gamma, lambdas, config.eps_sparse)
-    result = FitResult(
+    return FitResult(
         gamma=gamma, lambdas=lambdas, log_z=log_zs, objective=L,
-        bic=-2.0 * L + p * math.log(n * T), param_count=p, trace=trace,
+        bic=_bic(L, p, T * n), param_count=p, trace=trace,
         converged=converged, degenerate=degenerate, config=config,
         n_outer=n_outer)
-    return result
+
+
+def _k_star(lambdas: np.ndarray, eps_sparse: float) -> tuple:
+    """Active coefficients per regime, by ``sparsify``'s threshold rule."""
+    return tuple(sparsify(lam, eps_sparse)[1] for lam in lambdas)
 
 
 def _param_count(gamma: np.ndarray, lambdas: np.ndarray, eps_sparse: float) -> int:
-    K = gamma.shape[0]
-    active = sum(sparsify(lambdas[k], eps_sparse)[1] for k in range(K))
     hard = gamma.argmax(axis=0)
-    n_seg = sum(1 + int((np.diff(hard[:, i]) != 0).sum()) for i in range(hard.shape[1]))
-    return active + (K - 1) * n_seg
+    n_seg = hard.shape[1] + int(np.count_nonzero(np.diff(hard, axis=0)))
+    return sum(_k_star(lambdas, eps_sparse)) + (gamma.shape[0] - 1) * n_seg
 
 
-def param_count(fit_result: FitResult, eps_sparse: float | None = None) -> int:
+def _bic(objective: float, p: int, n_points: int) -> float:
+    return -2.0 * objective + p * math.log(n_points)
+
+
+def param_count(fit_result: FitResult) -> int:
     """Effective parameter number: active coefficients plus segment cost.
 
     p = sum_k ||lam_k||_0 + (K - 1) * S, with S the total count of maximal
     constant-in-time segments of the argmax regime path over all dimensions.
     """
-    eps = fit_result.config.eps_sparse if eps_sparse is None else eps_sparse
-    return _param_count(fit_result.gamma, fit_result.lambdas, eps)
+    return _param_count(fit_result.gamma, fit_result.lambdas, fit_result.config.eps_sparse)
 
 
-def bic(fit_result: FitResult, n: int | None = None, T: int | None = None,
-        eps_sparse: float | None = None) -> float:
+def bic(fit_result: FitResult) -> float:
     """Bayesian information criterion: -2 L + p ln(n T)."""
-    T_f, n_f = fit_result.shape
-    n = n_f if n is None else n
-    T = T_f if T is None else T
-    p = param_count(fit_result, eps_sparse)
-    return -2.0 * fit_result.objective + p * math.log(n * T)
+    return _bic(fit_result.objective, param_count(fit_result), fit_result.gamma[0].size)
 
 
 def schwarz_weights(bics) -> np.ndarray:
@@ -296,13 +297,29 @@ class Stage2Cell:
 
 @dataclass
 class SelectionReport:
+    """Both stages' cells and the winning fit, whose settings are the choice."""
+
     stage1: list[GridCell]
     stage2: list[Stage2Cell]
-    chosen_k: int
-    chosen_c_gamma: float
-    chosen_c_lambda: tuple | None     # None when the unregularised fit won
-    chosen_k_star: tuple
     best_fit: FitResult
+
+    @property
+    def chosen_k(self) -> int:
+        return self.best_fit.config.k
+
+    @property
+    def chosen_c_gamma(self) -> float:
+        return self.best_fit.config.c_gamma
+
+    @property
+    def chosen_c_lambda(self) -> tuple | None:
+        """Per-regime l1 bounds; None when the unregularised fit won."""
+        c = self.best_fit.config.c_lambda_per_regime()
+        return None if np.isinf(c).all() else tuple(c.tolist())
+
+    @property
+    def chosen_k_star(self) -> tuple:
+        return _k_star(self.best_fit.lambdas, self.best_fit.config.eps_sparse)
 
     @property
     def chosen_bic(self) -> float:
@@ -362,12 +379,10 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     stage1 = [GridCell(k=f.config.k, c_gamma=f.config.c_gamma, objective=f.objective,
                        bic=f.bic, converged=f.converged, schwarz=float(wt))
               for f, wt in zip(fits, weights)]
-    best_idx = int(np.argmin(bics))
-    winner = fits[best_idx]
+    winner = fits[int(np.argmin(bics))]
 
     stage2: list[Stage2Cell] = []
     best_fit = winner
-    chosen_c_lambda: tuple | None = None
     norms = np.abs(winner.lambdas).sum(axis=1)
     if stage2_points > 0 and norms.sum() > 1e-12:
         scales = np.geomspace(0.05, 1.5, stage2_points)
@@ -376,19 +391,10 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
             cfg = replace(base, k=winner.config.k, c_gamma=winner.config.c_gamma,
                           c_lambda=c_lam)
             result = _anneal_or_continue(values, cfg, winner)
-            k_star = tuple(sparsify(result.lambdas[k], base.eps_sparse)[1]
-                           for k in range(result.k))
             stage2.append(Stage2Cell(scale=float(s), c_lambda=c_lam,
                                      objective=result.objective, bic=result.bic,
-                                     k_star=k_star))
+                                     k_star=_k_star(result.lambdas, cfg.eps_sparse)))
             if result.bic < best_fit.bic:
                 best_fit = result
-                chosen_c_lambda = c_lam
 
-    chosen_k_star = tuple(sparsify(best_fit.lambdas[k], base.eps_sparse)[1]
-                          for k in range(best_fit.k))
-    return SelectionReport(
-        stage1=stage1, stage2=stage2,
-        chosen_k=best_fit.config.k, chosen_c_gamma=best_fit.config.c_gamma,
-        chosen_c_lambda=chosen_c_lambda, chosen_k_star=chosen_k_star,
-        best_fit=best_fit)
+    return SelectionReport(stage1=stage1, stage2=stage2, best_fit=best_fit)

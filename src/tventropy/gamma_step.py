@@ -19,14 +19,12 @@ construction.
 ``AffiliationSolver`` keeps one HiGHS session alive across repeated solves
 with changing scores, so the simplex restarts from the previous basis; the
 outer alternation changes the objective only a little per iteration, which
-makes the warm-started re-solves far cheaper than cold ones.  The LP's
-constraint matrix depends only on the shape (K, T, n); a small bounded cache
-keeps the last few shapes, so solvers of one shape share one matrix.
+makes the warm-started re-solves far cheaper than cold ones.  Each solver
+builds its constraint matrix and row bounds once, from index arithmetic
+(``_lp_rows``); there is no module-level cache.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,45 +58,36 @@ def hard_assignment(scores: np.ndarray) -> np.ndarray:
     return (scores.argmax(axis=0) == np.arange(K)[:, None, None]).astype(float)
 
 
-@lru_cache(maxsize=8)
-def _constraint_matrix(K: int, T: int, n: int) -> sp.csc_matrix:
-    """Inequality matrix for the reduced LP (last regime eliminated).
+def _lp_rows(K: int, T: int, n: int, c_gamma: float):
+    """Constraint matrix (CSC) and row upper bounds of the reduced LP.
 
     Variable order: gamma[k,t,i] for k = 0..K-2 (row-major in (t,i)), then
     eta[k,t,i] for k = 0..K-1 over t = 0..T-2.
-    Rows: +-difference bounds per regime, the "weights sum <= 1" rows, and
-    one TV budget row per regime.
+    Rows: +-difference bounds per regime (the eliminated regime last, its
+    difference being minus the sum of the others'), the "weights sum <= 1"
+    rows, and one TV budget row per regime.
     """
-    D = sp.kron(
-        sp.diags([-np.ones(T), np.ones(T - 1)], [0, 1], shape=(T - 1, T)),
-        sp.identity(n), format="csc")                    # (T-1)n x Tn temporal difference
-    Zg = sp.csc_matrix(((T - 1) * n, T * n))
-    Ze = sp.csc_matrix(((T - 1) * n, (T - 1) * n))
-    Ie = sp.identity((T - 1) * n, format="csc")
-    rows = []
-    for k in range(K - 1):
-        gblk = [Zg] * (K - 1)
-        eblk = [Ze] * K
-        gblk[k] = D
-        eblk[k] = -Ie
-        rows.append(sp.hstack(gblk + eblk))
-        gblk = [Zg] * (K - 1)
-        gblk[k] = -D
-        rows.append(sp.hstack(gblk + eblk))
-    # eliminated regime: |sum_{k<K-1} d gamma_k| <= eta_{K-1}
-    eblk = [Ze] * K
-    eblk[K - 1] = -Ie
-    rows.append(sp.hstack([D] * (K - 1) + eblk))
-    rows.append(sp.hstack([-D] * (K - 1) + eblk))
-    rows.append(sp.hstack([sp.identity(T * n, format="csc")] * (K - 1)
-                          + [sp.csc_matrix((T * n, K * (T - 1) * n))]))
-    ones = sp.csc_matrix(np.ones((1, (T - 1) * n)))
-    zero1 = sp.csc_matrix((1, (T - 1) * n))
+    m = (T - 1) * n                         # differences per regime
+    d = np.arange(m)                        # difference (t, i) -> t*n + i
+    g = np.arange(T * n)
+    n_gamma = (K - 1) * T * n
+    blocks = []                             # (rows, cols, value) triplet groups
     for k in range(K):
-        eblk = [zero1] * K
-        eblk[k] = ones
-        rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk))
-    return sp.vstack(rows, format="csc")
+        regimes = [k] if k < K - 1 else range(K - 1)
+        for half, sign in enumerate((1.0, -1.0)):
+            r = (2 * k + half) * m + d
+            for j in regimes:               # sign * (gamma[j,t+1,i] - gamma[j,t,i])
+                blocks += [(r, j * T * n + d + n, sign), (r, j * T * n + d, -sign)]
+            blocks.append((r, n_gamma + k * m + d, -1.0))
+    blocks += [(2 * K * m + g, j * T * n + g, 1.0) for j in range(K - 1)]
+    blocks += [(np.full(m, 2 * K * m + T * n + k), n_gamma + k * m + d, 1.0)
+               for k in range(K)]
+    rows = np.concatenate([b[0] for b in blocks])
+    cols = np.concatenate([b[1] for b in blocks])
+    vals = np.concatenate([np.full(b[0].size, b[2]) for b in blocks])
+    # difference rows <= 0, simplex rows <= 1, one budget row per regime
+    upper = np.concatenate([np.zeros(2 * K * m), np.ones(T * n), np.full(K, float(c_gamma))])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + K * m)), upper
 
 
 class AffiliationSolver:
@@ -117,23 +106,18 @@ class AffiliationSolver:
         self.c_gamma = float(c_gamma)
         self._highs = None
         self._n_gamma = (K - 1) * T * n
-        self._n_eta = K * (T - 1) * n
         self._gamma_cols = np.arange(self._n_gamma, dtype=np.int32)
 
     def _build_highs(self):
-        K, T, n = self.K, self.T, self.n
-        A = _constraint_matrix(K, T, n)
+        A, row_upper = _lp_rows(self.K, self.T, self.n, self.c_gamma)
         lp = _hc.HighsLp()
-        lp.num_col_ = self._n_gamma + self._n_eta
-        lp.num_row_ = A.shape[0]
+        lp.num_row_, lp.num_col_ = A.shape
         lp.col_cost_ = np.zeros(lp.num_col_)
         lp.col_lower_ = np.zeros(lp.num_col_)
-        lp.col_upper_ = np.concatenate([
-            np.ones(self._n_gamma), np.full(self._n_eta, np.inf)])
+        lp.col_upper_ = np.concatenate([   # gamma in [0, 1], eta unbounded above
+            np.ones(self._n_gamma), np.full(lp.num_col_ - self._n_gamma, np.inf)])
         lp.row_lower_ = np.full(A.shape[0], -np.inf)
-        # difference rows <= 0, simplex rows <= 1, one budget row per regime
-        lp.row_upper_ = np.concatenate([
-            np.zeros(2 * K * (T - 1) * n), np.ones(T * n), np.full(K, self.c_gamma)])
+        lp.row_upper_ = row_upper
         lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
         lp.a_matrix_.start_ = A.indptr.astype(np.int64)
         lp.a_matrix_.index_ = A.indices.astype(np.int32)

@@ -46,7 +46,7 @@ def feature_matrix(values: np.ndarray, m: int) -> np.ndarray:
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_ORDER}, got {m}")
     if np.any(np.abs(values) > 1.0 + 1e-12):
-        raise ValueError("feature matrix requires values scaled into [-1, 1]")
+        raise ValueError("feature matrix requires values scaled into [-1, 1]; run rescale first")
     return np.power.outer(np.clip(values, -1.0, 1.0), np.arange(1, m + 1))
 
 

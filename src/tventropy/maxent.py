@@ -57,6 +57,7 @@ class QuadratureRule:
         return np.power.outer(self.nodes, np.arange(1, j_max + 1))
 
 
+# cached: a pure function of one integer, rebuilt by every fit otherwise (~8 ms at 200 nodes)
 @lru_cache(maxsize=32)
 def gauss_legendre(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     if order < 2:

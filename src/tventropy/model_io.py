@@ -17,8 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .estimator import FitResult, ModelConfig
-from .lambda_step import sparsify
+from .estimator import FitResult, ModelConfig, _k_star
 from .panel import ScalingMap
 
 SCHEMA_VERSION = 1
@@ -62,8 +61,6 @@ def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dic
     config = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
     config["c_lambda"] = [None if math.isinf(v) else float(v)
                           for v in cfg.c_lambda_per_regime()]
-    k_star = [sparsify(fit_result.lambdas[k], cfg.eps_sparse)[1]
-              for k in range(fit_result.k)]
     return {
         "schema": SCHEMA_VERSION,
         "labels": list(labels) if labels else [f"x{i + 1}" for i in range(fit_result.shape[1])],
@@ -76,7 +73,7 @@ def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dic
         "objective": float(fit_result.objective),
         "bic": float(fit_result.bic),
         "param_count": fit_result.param_count,
-        "k_star": k_star,
+        "k_star": list(_k_star(fit_result.lambdas, cfg.eps_sparse)),
         "converged": fit_result.converged,
         "degenerate": fit_result.degenerate,
         "trace": [float(v) for v in fit_result.trace],
@@ -86,29 +83,31 @@ def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dic
 def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {obj.get('schema')!r}")
-    cfg_obj = obj["config"]
-    # keys absent from older schema-1 files take their defaults
-    settings = {f.name: cfg_obj[f.name] for f in fields(ModelConfig) if f.name in cfg_obj}
-    settings["c_lambda"] = tuple(math.inf if v is None else float(v)
-                                 for v in cfg_obj["c_lambda"])
-    config = ModelConfig(**settings)
-    gamma = _rle_decode(obj["gamma_rle"], config.k)
-    fit_result = FitResult(
-        gamma=gamma,
-        lambdas=np.asarray(obj["lambda"], dtype=float),
-        log_z=np.asarray(obj["log_z"], dtype=float),
-        objective=obj["objective"],
-        bic=obj["bic"],
-        param_count=obj["param_count"],
-        trace=list(obj["trace"]),
-        converged=obj["converged"],
-        degenerate=obj["degenerate"],
-        config=config,
-        n_outer=len(obj["trace"]),
-    )
-    scaling = ScalingMap(a=np.asarray(obj["scaling"]["a"], dtype=float),
-                         b=np.asarray(obj["scaling"]["b"], dtype=float))
-    return fit_result, scaling, list(obj["labels"])
+    try:
+        cfg_obj = obj["config"]
+        # keys absent from older schema-1 files take their defaults
+        settings = {f.name: cfg_obj[f.name] for f in fields(ModelConfig) if f.name in cfg_obj}
+        settings["c_lambda"] = tuple(math.inf if v is None else float(v)
+                                     for v in cfg_obj["c_lambda"])
+        config = ModelConfig(**settings)
+        fit_result = FitResult(
+            gamma=_rle_decode(obj["gamma_rle"], config.k),
+            lambdas=np.asarray(obj["lambda"], dtype=float),
+            log_z=np.asarray(obj["log_z"], dtype=float),
+            objective=obj["objective"],
+            bic=obj["bic"],
+            param_count=obj["param_count"],
+            trace=list(obj["trace"]),
+            converged=obj["converged"],
+            degenerate=obj["degenerate"],
+            config=config,
+            n_outer=len(obj["trace"]),
+        )
+        scaling = ScalingMap(a=np.asarray(obj["scaling"]["a"], dtype=float),
+                             b=np.asarray(obj["scaling"]["b"], dtype=float))
+        return fit_result, scaling, list(obj["labels"])
+    except KeyError as exc:
+        raise ValueError(f"model file has no key {exc}") from None
 
 
 def dumps_canonical(obj) -> str:

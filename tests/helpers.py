@@ -125,7 +125,7 @@ def sample_searchsorted(lam, count: int, seed: int) -> np.ndarray:
 def affiliation_lp_optimum(scores: np.ndarray, c_gamma: float) -> float:
     """Reference optimum of the affiliation LP, solved by ``linprog``.
 
-    Written apart from ``gamma_step._constraint_matrix``: every regime keeps
+    Written apart from ``gamma_step._lp_rows``: every regime keeps
     its own weights (no elimination), the simplex rows are equalities, and
     one auxiliary d[k,t,i] >= |gamma[k,t+1,i] - gamma[k,t,i]| per difference
     feeds the budget row sum_{t,i} d[k,t,i] <= c_gamma of regime k.
@@ -165,6 +165,26 @@ def affiliation_lp_optimum(scores: np.ndarray, c_gamma: float) -> float:
     return -res.fun
 
 
+def log_integral_converged(lam) -> float:
+    """log of the integral of exp(-sum_j lam_j x^j) over [-1, 1] by mpmath's
+    tanh-sinh rule at 40 digits, split at the integrand's peak on a fine grid
+    and refined by the rule's own degree doubling until its error estimate
+    converges; a spike narrower than any fixed grid is still resolved."""
+    import mpmath
+
+    lam = np.asarray(lam, dtype=float)
+    xs = np.linspace(-1.0, 1.0, 200_001)
+    peak = float(xs[np.argmax(-np.power.outer(xs, np.arange(1, lam.size + 1)) @ lam)])
+    coeffs = [-float(v) for v in lam[::-1]] + [0.0]      # highest degree first
+    with mpmath.workdps(40):
+        s_max = mpmath.polyval(coeffs, peak)
+        points = [mpmath.mpf(x) for x in sorted({-1.0, peak, 1.0})]
+        value, err = mpmath.quad(lambda x: mpmath.exp(mpmath.polyval(coeffs, x) - s_max),
+                                 points, error=True)
+        assert err <= 1e-15 * value, "tanh-sinh rule did not converge"
+        return float(mpmath.log(value) + s_max)
+
+
 def rle_encode_loop(gamma: np.ndarray) -> list:
     """Reference for ``model_io._rle_encode``: grow each run one time step at
     a time with ``np.array_equal``."""
@@ -182,3 +202,42 @@ def rle_encode_loop(gamma: np.ndarray) -> list:
             t += length
         dims.append(runs)
     return dims
+
+
+def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
+    """Reference for ``gamma_step._lp_rows``: the reduced LP's matrix put
+    together from ``sp.kron`` / ``sp.hstack`` / ``sp.vstack`` blocks, and its
+    row upper bounds."""
+    import scipy.sparse as sp
+
+    D = sp.kron(
+        sp.diags([-np.ones(T), np.ones(T - 1)], [0, 1], shape=(T - 1, T)),
+        sp.identity(n), format="csc")                    # (T-1)n x Tn temporal difference
+    Zg = sp.csc_matrix(((T - 1) * n, T * n))
+    Ze = sp.csc_matrix(((T - 1) * n, (T - 1) * n))
+    Ie = sp.identity((T - 1) * n, format="csc")
+    rows = []
+    for k in range(K - 1):
+        gblk = [Zg] * (K - 1)
+        eblk = [Ze] * K
+        gblk[k] = D
+        eblk[k] = -Ie
+        rows.append(sp.hstack(gblk + eblk))
+        gblk = [Zg] * (K - 1)
+        gblk[k] = -D
+        rows.append(sp.hstack(gblk + eblk))
+    eblk = [Ze] * K
+    eblk[K - 1] = -Ie
+    rows.append(sp.hstack([D] * (K - 1) + eblk))
+    rows.append(sp.hstack([-D] * (K - 1) + eblk))
+    rows.append(sp.hstack([sp.identity(T * n, format="csc")] * (K - 1)
+                          + [sp.csc_matrix((T * n, K * (T - 1) * n))]))
+    ones = sp.csc_matrix(np.ones((1, (T - 1) * n)))
+    zero1 = sp.csc_matrix((1, (T - 1) * n))
+    for k in range(K):
+        eblk = [zero1] * K
+        eblk[k] = ones
+        rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk))
+    upper = np.concatenate([
+        np.zeros(2 * K * (T - 1) * n), np.ones(T * n), np.full(K, float(c_gamma))])
+    return sp.vstack(rows, format="csc"), upper

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from tventropy import ModelConfig, ScalingMap, anneal, gen_two_regime_gaussian, rescale
-from tventropy.cli import _config_from_args, build_parser, main
+from tventropy import (
+    ModelConfig,
+    ScalingMap,
+    anneal,
+    diagnostics,
+    forecast,
+    gen_two_regime_gaussian,
+    grid_search,
+    rescale,
+)
+from tventropy.cli import _config_from_args, _default, build_parser, main
 from tventropy.model_io import (
     _rle_encode,
     dumps_canonical,
@@ -122,6 +131,59 @@ class TestModelFile:
         assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("key", ["lambda", "config", "scaling", "trace", "labels",
+                                     "log_z", "objective"])
+    def test_missing_key_rejected(self, small_model, tmp_path, capsys, key):
+        obj = json.loads(small_model.read_text())
+        del obj[key]
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_canonical(obj))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_model(str(path))
+        assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    def test_setting_fit_cannot_run_rejected(self, small_model, tmp_path, capsys):
+        obj = json.loads(small_model.read_text())
+        obj["config"]["max_outer_iter"] = 0
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_canonical(obj))
+        assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, dest, fn, name", [
+    (["grid", "x.csv"], "stage2_points", grid_search, "stage2_points"),
+    (["grid", "x.csv"], "jobs", grid_search, "jobs"),
+    (["gen-synthetic"], "t", diagnostics.gen_two_regime_gaussian, "T"),
+    (["gen-synthetic"], "switch_period", diagnostics.gen_two_regime_gaussian,
+     "switch_period"),
+    (["simulate", "--model", "m.json"], "n_samples", diagnostics.simulate_panels,
+     "n_samples"),
+    (["acf", "x.csv"], "d", diagnostics.acf_abs, "d"),
+    (["acf", "x.csv"], "n_samples", diagnostics.simulated_acf, "n_samples"),
+    (["var", "x.csv", "--train-split", "300"], "switch_penalty", forecast.backtest,
+     "switch_penalty"),
+    (["graph", "--models", "m.json"], "lag_max", diagnostics.transition_graph, "max_lag"),
+    (["graph", "--models", "m.json"], "p_threshold", diagnostics.transition_graph,
+     "p_threshold"),
+])
+def test_flag_defaults_are_the_library_defaults(argv, dest, fn, name):
+    assert getattr(build_parser().parse_args(argv), dest) == _default(fn, name)
+
+
+def test_var_alpha_falls_back_to_backtest_default(capsys):
+    # no --alpha leaves None, which cmd_var replaces by backtest's own levels
+    assert build_parser().parse_args(["var", "x.csv", "--train-split", "300"]).alpha is None
+    with pytest.raises(SystemExit):
+        main(["var", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    alphas = " and ".join(map(str, _default(forecast.backtest, "alphas")))
+    assert f"(default {alphas})" in help_text
 
 
 @pytest.mark.parametrize("argv", [

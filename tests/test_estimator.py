@@ -1,7 +1,8 @@
 """Outer alternation: monotonicity, determinism, model selection."""
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from tventropy import (
     FitResult,
     ModelConfig,
+    Panel,
+    SelectionReport,
     anneal,
     bic,
     compose_lambda,
@@ -20,16 +23,31 @@ from tventropy import (
     param_count,
     rescale,
     schwarz_weights,
+    tv_norm,
 )
 from tventropy.estimator import random_block_gamma
 
-from tests.helpers import random_block_gamma_loop
+from tests.helpers import log_integral_converged, random_block_gamma_loop
+from tests.test_maxent import simpson_log_integral
 
 
 def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
     case = gen_two_regime_gaussian(v2, T=T, switch_period=period, seed=seed)
     scaled, scaling = rescale(case.panel)
     return scaled.values, scaling, case
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_outer_iter": 0},
+    {"max_lambda_iter": 0},
+    {"tol_lambda": 0.0},
+    {"tol_outer": -1.0},
+    {"eps_sparse": -1.0},
+    {"quad_order": 1},
+], ids=lambda setting: next(iter(setting)))
+def test_model_config_rejects_settings_fit_cannot_run(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        ModelConfig(**setting)
 
 
 class TestComposeLambda:
@@ -101,6 +119,12 @@ class TestFit:
     def test_rejects_unscaled_values(self):
         with pytest.raises(ValueError):
             fit(np.array([[0.0], [5.0], [1.0]]), ModelConfig(k=1, c_gamma=1.0))
+
+    @pytest.mark.parametrize("excess", [1e-10, 1e-8])
+    def test_values_just_outside_unit_interval_ask_for_rescale(self, excess):
+        values = np.array([[0.0], [1.0 + excess], [-0.5]])
+        with pytest.raises(ValueError, match="rescale"):
+            fit(values, ModelConfig(k=1, c_gamma=1.0))
 
     def test_gamma0_shape_checked(self):
         values, _, _ = scaled_synthetic(seed=6)
@@ -203,6 +227,10 @@ class TestParamCountAndBic:
         expected = -2 * result.objective + p * math.log(values.size)
         assert result.bic == pytest.approx(expected, rel=1e-12)
 
+    def test_take_only_the_fit(self):
+        assert list(inspect.signature(param_count).parameters) == ["fit_result"]
+        assert list(inspect.signature(bic).parameters) == ["fit_result"]
+
     def test_duplicating_a_regime_keeps_L_raises_bic(self):
         from tventropy import build_scores
 
@@ -280,3 +308,79 @@ class TestGridSearch:
         r2 = grid_search(values, [1, 2], [2.0], config, stage2_points=0, jobs=2)
         assert [c.bic for c in r1.stage1] == [c.bic for c in r2.stage1]
         np.testing.assert_array_equal(r1.best_fit.gamma, r2.best_fit.gamma)
+
+
+class TestSelectionReport:
+    def test_stores_stages_and_best_fit_only(self):
+        names = [f.name for f in fields(SelectionReport)]
+        assert names == ["stage1", "stage2", "best_fit"]
+
+    @pytest.mark.parametrize("v2, stage2_wins", [(6.0, False), (4.0, True)])
+    def test_choice_is_read_off_best_fit(self, v2, stage2_wins):
+        values, _, _ = scaled_synthetic(v2=v2, seed=14)
+        report = grid_search(values, [1, 2], [4.0], ModelConfig(m=4, n_anneal=2, seed=0),
+                             stage2_points=6)
+        best = report.best_fit
+        assert (report.chosen_k, report.chosen_c_gamma) == (best.config.k, best.config.c_gamma)
+        assert report.chosen_bic == best.bic
+        assert sum(report.chosen_k_star) + (best.k - 1) <= best.param_count
+        # a stage-2 cell wins only by a strictly lower BIC, the first such minimum
+        stage1_bic = min(c.bic for c in report.stage1)
+        better = [c for c in report.stage2 if c.bic < stage1_bic]
+        assert bool(better) == stage2_wins
+        if better:
+            won = min(better, key=lambda c: c.bic)
+            assert report.chosen_c_lambda == won.c_lambda
+            assert report.chosen_k_star == won.k_star
+        else:
+            assert report.chosen_c_lambda is None
+
+    def test_stage1_winner_has_no_c_lambda(self):
+        values, _, _ = scaled_synthetic(seed=12)
+        report = grid_search(values, [1], [2.0], ModelConfig(m=4, n_anneal=1, seed=0),
+                             stage2_points=0)
+        assert report.chosen_c_lambda is None
+        assert report.chosen_k_star == (sum(np.abs(report.best_fit.lambdas[0]) >= 1e-5),)
+
+
+def _rescaled(x):
+    return rescale(Panel(values=np.asarray(x, dtype=float)))[0].values
+
+
+def _check_edge_fit(result):
+    gamma, c_gamma = result.gamma, result.config.c_gamma
+    assert np.all(gamma >= 0.0)
+    np.testing.assert_allclose(gamma.sum(axis=0), 1.0, atol=1e-12)
+    assert max(tv_norm(gamma, k) for k in range(result.k)) <= c_gamma + 1e-7
+    assert np.all(np.diff(result.trace) >= -1e-9)
+    assert result.bic == bic(result)
+
+
+class TestEdgeShapes:
+    @pytest.mark.parametrize("case", ["k3_t3", "n3", "m12_student_t"])
+    def test_clean_fit(self, case):
+        rng = np.random.default_rng(3)
+        if case == "k3_t3":
+            values = _rescaled(rng.standard_normal((3, 1)))
+            config = ModelConfig(k=3, c_gamma=2.0, m=2)
+        elif case == "n3":
+            values = _rescaled(rng.standard_normal((300, 3)) * np.repeat([1.0, 2.0], 150)[:, None])
+            config = ModelConfig(k=2, c_gamma=6.0, m=4)
+        else:
+            values = _rescaled(rng.standard_t(4, size=(500, 1)))
+            config = ModelConfig(k=2, c_gamma=3.0, m=12, c_lambda=20.0)
+        result = fit(values, config)
+        _check_edge_fit(result)
+        for lam, log_z in zip(result.lambdas, result.log_z):
+            assert abs(log_z - simpson_log_integral(lam)) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="without an l1 bound the outlier's regime "
+                       "diverges (|lambda|_1 ~ 2.5e11) and its log Z is off by ~3e7")
+    def test_single_200_sigma_outlier(self):
+        x = np.random.default_rng(1).standard_normal((500, 1))
+        x[250] = 200.0
+        result = anneal(_rescaled(x), ModelConfig(k=2, c_gamma=3.0, m=6, n_anneal=2))
+        _check_edge_fit(result)
+        for lam, log_z in zip(result.lambdas, result.log_z):
+            want = log_integral_converged(lam)
+            assert abs(log_z - want) <= 1e-9 * max(1.0, abs(want))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, tv_norm
 from tventropy import gamma_step
 from tventropy.gamma_step import AffiliationSolver
-from tests.helpers import affiliation_lp_optimum
+from tests.helpers import affiliation_lp_optimum, lp_rows_blocks
 
 LN2 = math.log(2.0)
 
@@ -212,3 +212,22 @@ class TestAffiliationSolver:
                 assert obj >= float((prev * scores).sum()) - 1e-12
             if use_prev:
                 prev = gamma
+
+
+class TestLpRows:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_matches_block_builder_byte_for_byte(self, K):
+        # HiGHS's pivot path depends on the row and column order, so the
+        # closed-form rows must reproduce the block assembly exactly
+        for T in (2, 3, 4, 7, 20, 50):
+            for n in (1, 2, 3):
+                A, upper = gamma_step._lp_rows(K, T, n, 2.5)
+                B, want = lp_rows_blocks(K, T, n, 2.5)
+                assert A.format == "csc" and A.shape == B.shape
+                for name in ("indptr", "indices", "data"):
+                    got, ref = getattr(A, name), getattr(B, name)
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                assert upper.dtype == want.dtype and upper.tobytes() == want.tobytes()
+
+    def test_no_module_cache(self):
+        assert not any(hasattr(v, "cache_info") for v in vars(gamma_step).values())
