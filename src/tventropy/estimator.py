@@ -365,6 +365,10 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     c_gamma_grid = [float(c) for c in c_gamma_grid]
     if not k_grid or not c_gamma_grid:
         raise ValueError("model grids must be nonempty")
+    if stage2_points < 0:
+        raise ValueError(f"stage2_points must be nonnegative, got {stage2_points}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     lane_args = [(values, base, k, c_gamma_grid) for k in k_grid]
     if jobs > 1 and len(k_grid) > 1:

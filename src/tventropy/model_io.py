@@ -81,6 +81,8 @@ def model_to_obj(fit_result: FitResult, scaling: ScalingMap, labels=None) -> dic
 
 
 def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
+    if not isinstance(obj, dict):
+        raise ValueError("malformed model file: the top level is not a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {obj.get('schema')!r}")
     try:
@@ -108,6 +110,8 @@ def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
         return fit_result, scaling, list(obj["labels"])
     except KeyError as exc:
         raise ValueError(f"model file has no key {exc}") from None
+    except TypeError as exc:            # a part of the wrong JSON type
+        raise ValueError(f"malformed model file: {exc}") from None
 
 
 def dumps_canonical(obj) -> str:

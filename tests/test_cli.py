@@ -146,6 +146,21 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
+    @pytest.mark.parametrize("make", [
+        lambda obj: [1, 2],
+        lambda obj: "x",
+        lambda obj: {"schema": 1, "config": [1]},
+        lambda obj: {**obj, "gamma_rle": 5},
+    ], ids=["list", "string", "config-list", "gamma_rle-number"])
+    def test_wrong_json_shape_rejected(self, small_model, tmp_path, capsys, make):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make(json.loads(small_model.read_text()))))
+        with pytest.raises(ValueError, match="malformed model file"):
+            load_model(str(path))
+        assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model file") and err.count("\n") == 1
+
     def test_setting_fit_cannot_run_rejected(self, small_model, tmp_path, capsys):
         obj = json.loads(small_model.read_text())
         obj["config"]["max_outer_iter"] = 0
@@ -237,6 +252,8 @@ class TestFitCommand:
     ["acf", "{csv}", "--max-lag", "400"],
     ["acf", "{csv}", "--dim", "3"],
     ["acf", "{csv}", "--dim", "-1"],
+    ["grid", "{csv}", "--stage2-points", "-1"],
+    ["grid", "{csv}", "--jobs", "0"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
     argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, tv_norm
 from tventropy import gamma_step
+from tventropy.estimator import random_block_gamma
 from tventropy.gamma_step import AffiliationSolver
 from tests.helpers import affiliation_lp_optimum, lp_rows_blocks
 
@@ -189,14 +190,17 @@ class TestAffiliationSolver:
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(K=st.integers(2, 4), T=st.integers(2, 8), n=st.integers(1, 3),
-           c_gamma=st.floats(0.0, 4.0), use_prev=st.booleans(),
+           c_gamma=st.floats(0.0, 4.0), use_prev=st.booleans(), use_start=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_reused_solver_matches_linprog_oracle(self, K, T, n, c_gamma, use_prev, seed):
+    def test_reused_solver_matches_linprog_oracle(self, K, T, n, c_gamma, use_prev,
+                                                  use_start, seed):
         # one hot-started session over several score draws; with use_prev each
-        # solve gets the previous result as gamma_prev, as in the outer fit
+        # solve gets the previous result as gamma_prev, as in the outer fit;
+        # with use_start the first solve starts from a within-budget random
+        # block field, as the first solve of a fit does
         rng = np.random.default_rng(seed)
         solver = AffiliationSolver(K, T, n, c_gamma)
-        prev = None
+        prev = random_block_gamma(K, T, n, c_gamma, seed) if use_start else None
         for _ in range(4):
             scores = rng.normal(size=(K, T, n))
             gamma = solver.solve(scores, gamma_prev=prev)
@@ -212,6 +216,43 @@ class TestAffiliationSolver:
                 assert obj >= float((prev * scores).sum()) - 1e-12
             if use_prev:
                 prev = gamma
+
+    def test_start_just_over_budget_still_solves(self):
+        # a start up to 1e-7 over budget counts as feasible and is handed to
+        # HiGHS; the solve must still reach an optimal, feasible vertex
+        K, T, n = 3, 12, 2
+        prev = random_block_gamma(K, T, n, 4.0, 12)
+        c_gamma = max(tv_norm(prev, k) for k in range(K)) - 9e-8
+        assert c_gamma > 0
+        scores = np.random.default_rng(12).normal(size=(K, T, n))
+        solver = AffiliationSolver(K, T, n, c_gamma)
+        gamma = solver.solve(scores, gamma_prev=prev)
+        assert solver.lp_solves == 1
+        check_feasible(gamma, c_gamma)
+        obj = float((gamma * scores).sum())
+        assert abs(obj - affiliation_lp_optimum(scores, c_gamma)) <= 1e-9
+
+    def test_identical_rescore_keeps_hot_start(self):
+        rng = np.random.default_rng(7)
+        scores = rng.normal(size=(3, 20, 1))
+        solver = AffiliationSolver(3, 20, 1, 2.0)
+        first = solver.solve(scores)
+        assert solver.lp_solves == 1 and solver.simplex_iterations > 0
+        iterations = solver.simplex_iterations
+        again = solver.solve(scores)
+        assert solver.lp_solves == 2 and solver.simplex_iterations == iterations
+        np.testing.assert_array_equal(again, first)
+
+    def test_shortcut_leaves_counters(self):
+        rng = np.random.default_rng(8)
+        solver = AffiliationSolver(3, 20, 1, 2.0)
+        solver.solve(rng.normal(size=(3, 20, 1)))
+        counts = (solver.lp_solves, solver.simplex_iterations)
+        scores = rng.normal(size=(3, 20, 1))
+        scores[1] += 10.0                        # argmax is regime 1 throughout
+        gamma = solver.solve(scores)
+        np.testing.assert_array_equal(gamma, gamma_step.hard_assignment(scores))
+        assert (solver.lp_solves, solver.simplex_iterations) == counts
 
 
 class TestLpRows:
