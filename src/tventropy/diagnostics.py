@@ -228,8 +228,6 @@ def fisher_exact(table: ContingencyTable2x2) -> float:
     r1, c1, N = a + b, a + c, a + b + c + d
     lo = max(0, r1 + c1 - N)
     hi = min(r1, c1)
-    if lo == hi:
-        return 1.0
     num_obs = math.comb(c1, a) * math.comb(N - c1, r1 - a)
     total = 0
     for aa in range(lo, hi + 1):
@@ -276,7 +274,7 @@ def lagged_table(source: np.ndarray, target: np.ndarray, lag: int) -> Contingenc
     """2x2 co-occurrence table of (source jump at t, target jump at t + lag)."""
     if lag < 0:
         raise ValueError("lag must be nonnegative")
-    s = source[: source.size - lag] if lag else source
+    s = source[: source.size - lag]
     t = target[lag:]
     a = int(np.sum((s == 1) & (t == 1)))
     b = int(np.sum((s == 1) & (t == 0)))
@@ -298,8 +296,6 @@ def transition_graph(jumps: dict[str, tuple[np.ndarray, np.ndarray]],
     lengths = {name: jumps[name][0].size for name in names}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"jump series must share one length, got {lengths}")
-    if len(names) < 2:
-        return RelationGraph(nodes=names, edges=[])
     edges: list[GraphEdge] = []
     directions = [("up", 0), ("down", 1)]
     for src, tgt in itertools.permutations(names, 2):

@@ -60,12 +60,13 @@ class ModelConfig:
                 and self.tol_lambda > 0):
             raise ValueError("c_gamma, tol_outer and eps_sparse must be nonnegative, "
                              "tol_lambda positive")
+        self.c_lambda_per_regime()
 
     def c_lambda_per_regime(self) -> np.ndarray:
         c = np.asarray(self.c_lambda, dtype=float)
         if c.ndim == 0:
             c = np.full(self.k, float(c))
-        if c.size != self.k or np.any(c < 0):
+        if c.size != self.k or not np.all(c >= 0):
             raise ValueError("c_lambda must be a nonnegative scalar or one value per regime")
         return c
 
@@ -170,8 +171,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     else:
         lambdas = np.array(lambda0, dtype=float, copy=True).reshape(K, m)
         for k in range(K):
-            if np.abs(lambdas[k]).sum() > c_lam[k]:
-                lambdas[k] = project_l1_ball(lambdas[k], c_lam[k])
+            lambdas[k] = project_l1_ball(lambdas[k], c_lam[k])
     log_zs = np.array([log_partition(lambdas[k], quad) for k in range(K)])
 
     scores = build_scores(lambdas, F, log_zs)
@@ -179,9 +179,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     trace: list[float] = []
     L_prev = -np.inf
     converged = False
-    n_outer = 0
-    for it in range(config.max_outer_iter):
-        n_outer = it + 1
+    for _ in range(config.max_outer_iter):
         lam_moved = 0.0
         for k in range(K):
             w = gamma[k]
@@ -204,12 +202,11 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         L = float((gamma * scores).sum())
         trace.append(L)
         if (moved < 1e-12 and lam_moved < 1e-12) or (
-                it >= 1 and abs(L - L_prev) < config.tol_outer * (1.0 + abs(L))):
+                abs(L - L_prev) < config.tol_outer * (1.0 + abs(L))):
             converged = True
             break
         L_prev = L
 
-    L = trace[-1]
     hard = gamma.argmax(axis=0)
     degenerate = K > 1 and np.unique(hard).size == 1
     p = _param_count(gamma, lambdas, config.eps_sparse)
@@ -217,7 +214,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         gamma=gamma, lambdas=lambdas, log_z=log_zs, objective=L,
         bic=_bic(L, p, T * n), param_count=p, trace=trace,
         converged=converged, degenerate=degenerate, config=config,
-        n_outer=n_outer)
+        n_outer=len(trace))
 
 
 def _k_star(lambdas: np.ndarray, eps_sparse: float) -> tuple:

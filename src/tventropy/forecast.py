@@ -24,8 +24,7 @@ def assign_regime_online(fit_result: FitResult, x_new: float, i: int = 0,
     K, m = fit_result.lambdas.shape
     powers = x ** np.arange(1, m + 1)
     scores = -(fit_result.lambdas @ powers + fit_result.log_z)
-    if switch_penalty:
-        scores = scores - switch_penalty * (np.arange(K) != k_prev)
+    scores = scores - switch_penalty * (np.arange(K) != k_prev)
     best = scores.max()
     tied = np.nonzero(scores >= best - 1e-12)[0]
     if k_prev in tied:

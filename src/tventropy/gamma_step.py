@@ -113,7 +113,7 @@ class AffiliationSolver:
         self._highs = None
         self._n_gamma = (K - 1) * T * n
         self._gamma_cols = np.arange(self._n_gamma, dtype=np.int32)
-        self.lp_solves = 0              # HiGHS runs; shortcut hits and K=1 add none
+        self.lp_solves = 0              # HiGHS runs; shortcut hits add none
         self.simplex_iterations = 0     # summed over those runs
 
     def _build_highs(self):
@@ -187,9 +187,6 @@ class AffiliationSolver:
         if scores.shape != (self.K, self.T, self.n):
             raise ValueError(
                 f"scores must have shape {(self.K, self.T, self.n)}, got {scores.shape}")
-        if self.K == 1:
-            return np.ones((1, self.T, self.n))
-
         eff = scores if gamma_prev is None else scores + PREFERENCE_WEIGHT * gamma_prev
         gamma = hard_assignment(eff)
         if max(tv_norm(gamma, k) for k in range(self.K)) <= self.c_gamma:

@@ -13,7 +13,9 @@ and projected-gradient steps with backtracking only when no Newton candidate
 does.  The damping matters for high moment orders, whose monomial covariance
 is badly conditioned: from a far start the full step overshoots, and plain
 gradient ascent crawls.  Every accepted step improves the objective, so the
-iterate trace is monotone.
+iterate trace is monotone.  An infinite ``c_lambda`` runs the same code: every
+point is interior, every candidate is inside the ball, and projecting onto
+the ball returns a copy.
 
 log Z and the moments come from the density engine's one quadrature kernel,
 :func:`.maxent.log_z_and_moments`.
@@ -45,8 +47,9 @@ def feature_matrix(values: np.ndarray, m: int) -> np.ndarray:
         values = values[:, None]
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_ORDER}, got {m}")
-    if np.any(np.abs(values) > 1.0 + 1e-12):
-        raise ValueError("feature matrix requires values scaled into [-1, 1]; run rescale first")
+    if not np.all(np.abs(values) <= 1.0 + 1e-12):
+        raise ValueError("feature matrix requires finite values scaled into [-1, 1]; "
+                         "run rescale first")
     return np.power.outer(np.clip(values, -1.0, 1.0), np.arange(1, m + 1))
 
 
@@ -59,6 +62,8 @@ def _weighted_sums(features: np.ndarray, w: np.ndarray):
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     S = np.tensordot(w, features, axes=([0, 1], [0, 1]))
+    if not np.all(np.isfinite(S)):
+        raise ValueError("features and weights must be finite")
     return S, float(w.sum())
 
 
@@ -87,8 +92,8 @@ def loglik_gradient(lam, features: np.ndarray, w, quad: QuadratureRule | None = 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : |x|_1 <= radius} (sort-based, exact)."""
     v = np.asarray(v, dtype=float)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if radius == 0:
         return np.zeros_like(v)
     a = np.abs(v)
@@ -139,11 +144,9 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         raise ValueError("tol must be positive")
     mu_hat = S / W
 
-    lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start).copy()
-    if np.abs(lam).sum() > c_lambda:
-        lam = project_l1_ball(lam, c_lambda)
+    lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start)
+    lam = project_l1_ball(lam, c_lambda)        # a new array: never aliases warm_start
 
-    bounded = np.isfinite(c_lambda)
     log_z, mom = log_z_and_moments(lam, quad, 2 * m)
     h = -(lam @ mu_hat + log_z)                 # objective per unit weight
     trace = [W * h]
@@ -155,16 +158,13 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
 
         # stationarity: plain gradient when strictly interior, projected
         # gradient residual when the l1 constraint may be active
-        interior = not bounded or np.abs(lam).sum() < c_lambda - tol
-        if interior:
-            if np.abs(g).max() <= tol:
-                converged = True
-                break
+        if np.abs(lam).sum() < c_lambda - tol:
+            resid = g
         else:
             resid = project_l1_ball(lam + g, c_lambda) - lam
-            if np.abs(resid).max() <= tol:
-                converged = True
-                break
+        if np.abs(resid).max() <= tol:
+            converged = True
+            break
 
         accepted = False
         # Newton candidate: Hessian of ln Z is the monomial covariance matrix
@@ -179,7 +179,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             t = 1.0
             for _ in range(30):
                 cand = lam + t * d
-                if not bounded or np.abs(cand).sum() <= c_lambda:
+                if np.abs(cand).sum() <= c_lambda:
                     lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
                     h_n = -(cand @ mu_hat + lz_n)
                     if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
@@ -192,9 +192,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         if not accepted:
             t = step
             for _ in range(60):
-                cand = lam + t * g
-                if bounded:
-                    cand = project_l1_ball(cand, c_lambda)
+                cand = project_l1_ball(lam + t * g, c_lambda)
                 delta = cand - lam
                 lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
                 h_n = -(cand @ mu_hat + lz_n)

@@ -107,7 +107,16 @@ def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
         )
         scaling = ScalingMap(a=np.asarray(obj["scaling"]["a"], dtype=float),
                              b=np.asarray(obj["scaling"]["b"], dtype=float))
-        return fit_result, scaling, list(obj["labels"])
+        labels = list(obj["labels"])
+        n = fit_result.shape[1]
+        for part, got, want in [("lambda", fit_result.lambdas.shape, (config.k, config.m)),
+                                ("log_z", fit_result.log_z.shape, (config.k,)),
+                                ("labels", (len(labels),), (n,)),
+                                ("scaling", scaling.a.shape, (n,))]:
+            if got != want:
+                raise ValueError(f"malformed model file: {part} has shape {got}, "
+                                 f"the model needs {want}")
+        return fit_result, scaling, labels
     except KeyError as exc:
         raise ValueError(f"model file has no key {exc}") from None
     except TypeError as exc:            # a part of the wrong JSON type

@@ -151,7 +151,12 @@ class TestModelFile:
         lambda obj: "x",
         lambda obj: {"schema": 1, "config": [1]},
         lambda obj: {**obj, "gamma_rle": 5},
-    ], ids=["list", "string", "config-list", "gamma_rle-number"])
+        lambda obj: {**obj, "labels": ["x1", "x2"]},
+        lambda obj: {**obj, "scaling": {"a": [1.0, 1.0], "b": [0.0, 0.0]}},
+        lambda obj: {**obj, "lambda": obj["lambda"] + [obj["lambda"][0]]},
+        lambda obj: {**obj, "log_z": obj["log_z"][:1]},
+    ], ids=["list", "string", "config-list", "gamma_rle-number", "labels-length",
+            "scaling-length", "lambda-rows", "log_z-length"])
     def test_wrong_json_shape_rejected(self, small_model, tmp_path, capsys, make):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(make(json.loads(small_model.read_text()))))
@@ -254,6 +259,7 @@ class TestFitCommand:
     ["acf", "{csv}", "--dim", "-1"],
     ["grid", "{csv}", "--stage2-points", "-1"],
     ["grid", "{csv}", "--jobs", "0"],
+    ["fit", "{csv}", "--clambda", "nan"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
     argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]

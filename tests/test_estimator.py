@@ -44,6 +44,9 @@ def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
     {"tol_outer": -1.0},
     {"eps_sparse": -1.0},
     {"quad_order": 1},
+    {"c_lambda": math.nan},
+    {"c_lambda": -1.0},
+    {"c_lambda": (1.0, 2.0, 3.0)},
 ], ids=lambda setting: next(iter(setting)))
 def test_model_config_rejects_settings_fit_cannot_run(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
@@ -125,6 +128,12 @@ class TestFit:
         values = np.array([[0.0], [1.0 + excess], [-0.5]])
         with pytest.raises(ValueError, match="rescale"):
             fit(values, ModelConfig(k=1, c_gamma=1.0))
+
+    def test_nan_values_ask_for_rescale(self):
+        values = scaled_synthetic(T=200, period=50, seed=6)[0].copy()
+        values[17, 0] = np.nan
+        with pytest.raises(ValueError, match="rescale"):
+            fit(values, ModelConfig(k=2, c_gamma=3.0, m=4))
 
     def test_gamma0_shape_checked(self):
         values, _, _ = scaled_synthetic(seed=6)

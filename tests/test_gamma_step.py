@@ -244,15 +244,19 @@ class TestAffiliationSolver:
         np.testing.assert_array_equal(again, first)
 
     def test_shortcut_leaves_counters(self):
-        rng = np.random.default_rng(8)
-        solver = AffiliationSolver(3, 20, 1, 2.0)
-        solver.solve(rng.normal(size=(3, 20, 1)))
-        counts = (solver.lp_solves, solver.simplex_iterations)
-        scores = rng.normal(size=(3, 20, 1))
-        scores[1] += 10.0                        # argmax is regime 1 throughout
-        gamma = solver.solve(scores)
-        np.testing.assert_array_equal(gamma, gamma_step.hard_assignment(scores))
-        assert (solver.lp_solves, solver.simplex_iterations) == counts
+        # K=1 takes the shortcut too: one regime has all ones and zero TV
+        for K, lead in ((3, 1), (1, 0)):
+            rng = np.random.default_rng(8)
+            solver = AffiliationSolver(K, 20, 1, 2.0)
+            solver.solve(rng.normal(size=(K, 20, 1)))
+            counts = (solver.lp_solves, solver.simplex_iterations)
+            scores = rng.normal(size=(K, 20, 1))
+            scores[lead] += 10.0                 # argmax is regime `lead` throughout
+            gamma = solver.solve(scores)
+            np.testing.assert_array_equal(gamma, gamma_step.hard_assignment(scores))
+            assert (solver.lp_solves, solver.simplex_iterations) == counts
+        np.testing.assert_array_equal(gamma, np.ones((1, 20, 1)))
+        assert counts == (0, 0) and solver._highs is None
 
 
 class TestLpRows:

@@ -125,6 +125,18 @@ class TestProjectL1Ball:
                 q = q / max(1.0, np.abs(q).sum() / r)
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
+    def test_infinite_radius_returns_a_copy(self):
+        # fit_lambda's unbounded path relies on this: the projection is a no-op
+        v = np.array([1e6, -3.0, 0.0, 2.5])
+        p = project_l1_ball(v, np.inf)
+        np.testing.assert_array_equal(p, v)
+        assert p is not v and not np.shares_memory(p, v)
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0])
+    def test_invalid_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            project_l1_ball(np.array([1.0, 2.0]), radius)
+
 
 class TestFitLambda:
     def test_uniform_data_gives_zero(self):
@@ -203,6 +215,28 @@ class TestFitLambda:
         F = feature_matrix(np.array([[0.1], [0.2]]), 2)
         with pytest.raises(EmptyRegime):
             fit_lambda(F, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("c_lambda", [math.inf, 0.5])
+    def test_warm_start_is_not_modified(self, c_lambda):
+        F = feature_matrix(np.array([[0.3], [-0.7], [0.5], [0.1]]), 3)
+        w0 = np.array([0.4, -1.0, 0.2])
+        res = fit_lambda(F, np.ones((4, 1)), c_lambda=c_lambda, warm_start=w0)
+        np.testing.assert_array_equal(w0, [0.4, -1.0, 0.2])
+        assert res.lam is not w0 and not np.shares_memory(res.lam, w0)
+
+    def test_nan_bound_rejected(self):
+        F = feature_matrix(np.array([[0.1], [0.2]]), 2)
+        with pytest.raises(ValueError, match="radius"):
+            fit_lambda(F, np.ones((2, 1)), c_lambda=math.nan)
+
+    @pytest.mark.parametrize("c_lambda", [math.inf, 2.0])
+    def test_nan_input_rejected(self, c_lambda):
+        F = feature_matrix(np.array([[0.1], [0.2], [0.0]]), 2)
+        with pytest.raises(ValueError, match="finite"):
+            fit_lambda(F, np.array([[1.0], [math.nan], [1.0]]), c_lambda=c_lambda)
+        F[1, 0, :] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_lambda(F, np.ones((3, 1)), c_lambda=c_lambda)
 
     def test_concave_along_segments(self):
         # the objective restricted to any segment is concave: sampled at 11
