@@ -86,6 +86,10 @@ class FitResult:
     degenerate: bool
     config: ModelConfig
     n_outer: int
+    # what the fit did; not written to model files
+    lp_solves: int = 0              # affiliation LPs run (shortcut hits add none)
+    simplex_iterations: int = 0     # summed over those LPs
+    lambda_unconverged: int = 0     # lambda subproblems that ran out of iterations
 
     @property
     def k(self) -> int:
@@ -179,6 +183,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     trace: list[float] = []
     L_prev = -np.inf
     converged = False
+    lambda_unconverged = 0
     for _ in range(config.max_outer_iter):
         lam_moved = 0.0
         for k in range(K):
@@ -188,6 +193,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
             res = fit_lambda(F, w, c_lambda=c_lam[k], tol=config.tol_lambda,
                              max_iter=config.max_lambda_iter, quad=quad,
                              warm_start=lambdas[k])
+            lambda_unconverged += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
             # guard against float-order regressions of the shared objective
             if float((w * new_scores_k).sum()) >= float((w * scores[k]).sum()):
@@ -214,7 +220,9 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         gamma=gamma, lambdas=lambdas, log_z=log_zs, objective=L,
         bic=_bic(L, p, T * n), param_count=p, trace=trace,
         converged=converged, degenerate=degenerate, config=config,
-        n_outer=len(trace))
+        n_outer=len(trace), lp_solves=solver.lp_solves,
+        simplex_iterations=solver.simplex_iterations,
+        lambda_unconverged=lambda_unconverged)
 
 
 def _k_star(lambdas: np.ndarray, eps_sparse: float) -> tuple:

@@ -8,24 +8,28 @@ affiliation field gamma, so the best gamma solves
          sum_i sum_t |gamma[k,t+1,i] - gamma[k,t,i]| <= c_gamma   for every k.
 
 ``scores[k,t,i]`` is the log-density of observation (t,i) under regime k.
-The simplex constraint lets us eliminate the last regime's weights; auxiliary
-variables bound the absolute temporal differences, giving one budget row per
-regime.  The LP is solved exactly with HiGHS primal simplex through scipy's
-vendored HiGHS bindings (``scipy.optimize._highspy``, scipy >= 1.15); there
-is no other solve path.  When the per-point argmax assignment already
-satisfies every budget the LP is skipped: that assignment is optimal by
-construction.
+The simplex constraint lets us eliminate the last regime's weights.  Each
+temporal difference is split into nonnegative ``up`` and ``down`` parts tied
+to it by one equality row, and each regime's budget row bounds the sum of its
+parts.  The cheapest split of a difference d is (max(d, 0), max(-d, 0)), so a
+field fits the budget rows exactly when its TV is within budget.  That gives
+K(T-1)n + Tn + K rows.  The LP is solved exactly with HiGHS primal simplex
+through scipy's vendored HiGHS bindings (``scipy.optimize._highspy``,
+scipy >= 1.15); there is no other solve path.  When the per-point argmax
+assignment already satisfies every budget the LP is skipped: that assignment
+is optimal by construction.
 
 ``AffiliationSolver`` keeps one HiGHS session alive across repeated solves
 with changing scores.  Only the objective changes between solves, never the
 constraints, so every basis HiGHS keeps stays primal feasible and primal
 simplex restarts from it; the outer alternation changes the objective only
 a little per iteration, which makes these hot re-solves far cheaper than
-cold ones.  The first LP of a session starts from ``gamma_prev`` (with
-eta = |diff gamma|) when that field is within budget, which in a fit it is:
-the random block start is feasible by construction and a warm start comes
-from a cell whose budget was no larger.  The solver counts its LP runs
-(``lp_solves``) and their simplex iterations (``simplex_iterations``).
+cold ones.  The first LP of a session starts from ``gamma_prev`` (with the
+cheapest split of its differences) when that field is within budget, which
+in a fit it is: the random block start is feasible by construction and a
+warm start comes from a cell whose budget was no larger.  The solver counts
+its LP runs (``lp_solves``) and their simplex iterations
+(``simplex_iterations``).
 Each solver builds its constraint matrix and row bounds once, from index
 arithmetic (``_lp_rows``); there is no module-level cache.
 """
@@ -65,35 +69,48 @@ def hard_assignment(scores: np.ndarray) -> np.ndarray:
 
 
 def _lp_rows(K: int, T: int, n: int, c_gamma: float):
-    """Constraint matrix (CSC) and row upper bounds of the reduced LP.
+    """Constraint matrix (CSC) and row lower and upper bounds of the reduced LP.
 
     Variable order: gamma[k,t,i] for k = 0..K-2 (row-major in (t,i)), then
-    eta[k,t,i] for k = 0..K-1 over t = 0..T-2.
-    Rows: +-difference bounds per regime (the eliminated regime last, its
-    difference being minus the sum of the others'), the "weights sum <= 1"
-    rows, and one TV budget row per regime.
+    up[k,t,i] for k = 0..K-1 over t = 0..T-2, then down[k,t,i] in the same
+    order.  Rows: the difference equalities
+    gamma[k,t+1,i] - gamma[k,t,i] - up[k,t,i] + down[k,t,i] = 0 per regime
+    (the eliminated regime last, its difference being minus the sum of the
+    others'), the "weights sum <= 1" rows, and one budget row
+    sum_{t,i} up[k,t,i] + down[k,t,i] <= c_gamma per regime: K(T-1)n + Tn + K
+    rows in all.
     """
     m = (T - 1) * n                         # differences per regime
     d = np.arange(m)                        # difference (t, i) -> t*n + i
     g = np.arange(T * n)
     n_gamma = (K - 1) * T * n
+    up, down = n_gamma, n_gamma + K * m     # first up and first down column
     blocks = []                             # (rows, cols, value) triplet groups
     for k in range(K):
-        regimes = [k] if k < K - 1 else range(K - 1)
-        for half, sign in enumerate((1.0, -1.0)):
-            r = (2 * k + half) * m + d
-            for j in regimes:               # sign * (gamma[j,t+1,i] - gamma[j,t,i])
-                blocks += [(r, j * T * n + d + n, sign), (r, j * T * n + d, -sign)]
-            blocks.append((r, n_gamma + k * m + d, -1.0))
-    blocks += [(2 * K * m + g, j * T * n + g, 1.0) for j in range(K - 1)]
-    blocks += [(np.full(m, 2 * K * m + T * n + k), n_gamma + k * m + d, 1.0)
-               for k in range(K)]
+        r = k * m + d
+        regimes, sign = ([k], 1.0) if k < K - 1 else (range(K - 1), -1.0)
+        for j in regimes:                   # sign * (gamma[j,t+1,i] - gamma[j,t,i])
+            blocks += [(r, j * T * n + d + n, sign), (r, j * T * n + d, -sign)]
+        blocks += [(r, up + k * m + d, -1.0), (r, down + k * m + d, 1.0)]
+    blocks += [(K * m + g, j * T * n + g, 1.0) for j in range(K - 1)]
+    blocks += [(np.full(m, K * m + T * n + k), first + k * m + d, 1.0)
+               for k in range(K) for first in (up, down)]
     rows = np.concatenate([b[0] for b in blocks])
     cols = np.concatenate([b[1] for b in blocks])
     vals = np.concatenate([np.full(b[0].size, b[2]) for b in blocks])
-    # difference rows <= 0, simplex rows <= 1, one budget row per regime
-    upper = np.concatenate([np.zeros(2 * K * m), np.ones(T * n), np.full(K, float(c_gamma))])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + K * m)), upper
+    # difference rows = 0, simplex rows <= 1, one budget row per regime
+    lower = np.concatenate([np.zeros(K * m), np.full(T * n + K, -np.inf)])
+    upper = np.concatenate([np.zeros(K * m), np.ones(T * n), np.full(K, float(c_gamma))])
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + 2 * K * m))
+    return A, lower, upper
+
+
+def _start_point(gamma: np.ndarray) -> np.ndarray:
+    """``gamma`` as column values of the ``_lp_rows`` LP: the kept regimes'
+    weights, then the cheapest up and down split of every difference."""
+    diff = np.diff(gamma, axis=1)
+    return np.concatenate([gamma[:-1].ravel(), np.maximum(diff, 0.0).ravel(),
+                           np.maximum(-diff, 0.0).ravel()])
 
 
 class AffiliationSolver:
@@ -117,14 +134,14 @@ class AffiliationSolver:
         self.simplex_iterations = 0     # summed over those runs
 
     def _build_highs(self):
-        A, row_upper = _lp_rows(self.K, self.T, self.n, self.c_gamma)
+        A, row_lower, row_upper = _lp_rows(self.K, self.T, self.n, self.c_gamma)
         lp = _hc.HighsLp()
         lp.num_row_, lp.num_col_ = A.shape
         lp.col_cost_ = np.zeros(lp.num_col_)
         lp.col_lower_ = np.zeros(lp.num_col_)
-        lp.col_upper_ = np.concatenate([   # gamma in [0, 1], eta unbounded above
+        lp.col_upper_ = np.concatenate([   # gamma in [0, 1], up and down unbounded above
             np.ones(self._n_gamma), np.full(lp.num_col_ - self._n_gamma, np.inf)])
-        lp.row_lower_ = np.full(A.shape[0], -np.inf)
+        lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
         lp.a_matrix_.start_ = A.indptr.astype(np.int64)
@@ -156,8 +173,7 @@ class AffiliationSolver:
         if first and start is not None:
             # after the costs: the start then needs about a third fewer iterations
             sol = _hc.HighsSolution()
-            sol.col_value = np.concatenate(
-                [start[:-1].ravel(), np.abs(np.diff(start, axis=1)).ravel()])
+            sol.col_value = _start_point(start)
             if h.setSolution(sol) == _hc.HighsStatus.kError:
                 raise SolverError("affiliation LP rejected the start point")
         h.run()

@@ -207,7 +207,7 @@ def rle_encode_loop(gamma: np.ndarray) -> list:
 def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     """Reference for ``gamma_step._lp_rows``: the reduced LP's matrix put
     together from ``sp.kron`` / ``sp.hstack`` / ``sp.vstack`` blocks, and its
-    row upper bounds."""
+    row lower and upper bounds."""
     import scipy.sparse as sp
 
     D = sp.kron(
@@ -217,27 +217,26 @@ def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     Ze = sp.csc_matrix(((T - 1) * n, (T - 1) * n))
     Ie = sp.identity((T - 1) * n, format="csc")
     rows = []
-    for k in range(K - 1):
-        gblk = [Zg] * (K - 1)
-        eblk = [Ze] * K
-        gblk[k] = D
-        eblk[k] = -Ie
-        rows.append(sp.hstack(gblk + eblk))
-        gblk = [Zg] * (K - 1)
-        gblk[k] = -D
-        rows.append(sp.hstack(gblk + eblk))
-    eblk = [Ze] * K
-    eblk[K - 1] = -Ie
-    rows.append(sp.hstack([D] * (K - 1) + eblk))
-    rows.append(sp.hstack([-D] * (K - 1) + eblk))
+    for k in range(K):
+        # gamma[k,t+1,i] - gamma[k,t,i] - up[k,t,i] + down[k,t,i] = 0; the
+        # eliminated regime's difference is minus the sum of the others'
+        if k < K - 1:
+            gblk = [Zg] * (K - 1)
+            gblk[k] = D
+        else:
+            gblk = [-D] * (K - 1)
+        ublk, dblk = [Ze] * K, [Ze] * K
+        ublk[k], dblk[k] = -Ie, Ie
+        rows.append(sp.hstack(gblk + ublk + dblk))
     rows.append(sp.hstack([sp.identity(T * n, format="csc")] * (K - 1)
-                          + [sp.csc_matrix((T * n, K * (T - 1) * n))]))
+                          + [sp.csc_matrix((T * n, 2 * K * (T - 1) * n))]))
     ones = sp.csc_matrix(np.ones((1, (T - 1) * n)))
     zero1 = sp.csc_matrix((1, (T - 1) * n))
     for k in range(K):
         eblk = [zero1] * K
         eblk[k] = ones
-        rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk))
-    upper = np.concatenate([
-        np.zeros(2 * K * (T - 1) * n), np.ones(T * n), np.full(K, float(c_gamma))])
-    return sp.vstack(rows, format="csc"), upper
+        rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk + eblk))
+    m = K * (T - 1) * n
+    lower = np.concatenate([np.zeros(m), np.full(T * n + K, -np.inf)])
+    upper = np.concatenate([np.zeros(m), np.ones(T * n), np.full(K, float(c_gamma))])
+    return sp.vstack(rows, format="csc"), lower, upper

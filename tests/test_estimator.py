@@ -135,6 +135,19 @@ class TestFit:
         with pytest.raises(ValueError, match="rescale"):
             fit(values, ModelConfig(k=2, c_gamma=3.0, m=4))
 
+    def test_reports_lp_work(self):
+        values, _, _ = scaled_synthetic(seed=1)
+        result = fit(values, ModelConfig(k=3, c_gamma=2.0, m=4, seed=0))
+        assert result.lp_solves >= 1 and result.simplex_iterations > 0
+        result = fit(values, ModelConfig(k=1, c_gamma=2.0, m=4))
+        assert (result.lp_solves, result.simplex_iterations) == (0, 0)
+
+    def test_reports_unconverged_lambda_steps(self):
+        values, _, _ = scaled_synthetic(seed=1)
+        assert fit(values, ModelConfig(k=2, c_gamma=3.0, m=4)).lambda_unconverged == 0
+        result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4, max_lambda_iter=1))
+        assert result.lambda_unconverged > 0
+
     def test_gamma0_shape_checked(self):
         values, _, _ = scaled_synthetic(seed=6)
         with pytest.raises(ValueError):

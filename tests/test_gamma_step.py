@@ -190,7 +190,9 @@ class TestAffiliationSolver:
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(K=st.integers(2, 4), T=st.integers(2, 8), n=st.integers(1, 3),
-           c_gamma=st.floats(0.0, 4.0), use_prev=st.booleans(), use_start=st.booleans(),
+           # integer budgets (what `grid` runs) give the most degenerate LPs
+           c_gamma=st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)),
+           use_prev=st.booleans(), use_start=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_reused_solver_matches_linprog_oracle(self, K, T, n, c_gamma, use_prev,
                                                   use_start, seed):
@@ -266,13 +268,31 @@ class TestLpRows:
         # closed-form rows must reproduce the block assembly exactly
         for T in (2, 3, 4, 7, 20, 50):
             for n in (1, 2, 3):
-                A, upper = gamma_step._lp_rows(K, T, n, 2.5)
-                B, want = lp_rows_blocks(K, T, n, 2.5)
+                A, lower, upper = gamma_step._lp_rows(K, T, n, 2.5)
+                B, want_lower, want_upper = lp_rows_blocks(K, T, n, 2.5)
                 assert A.format == "csc" and A.shape == B.shape
-                for name in ("indptr", "indices", "data"):
-                    got, ref = getattr(A, name), getattr(B, name)
+                assert A.shape[0] == K * (T - 1) * n + T * n + K
+                for got, ref in [(A.indptr, B.indptr), (A.indices, B.indices),
+                                 (A.data, B.data), (lower, want_lower),
+                                 (upper, want_upper)]:
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-                assert upper.dtype == want.dtype and upper.tobytes() == want.tobytes()
+
+    def test_start_point_satisfies_every_row(self):
+        # a start that breaks a row is not an error in HiGHS, only slower
+        rng = np.random.default_rng(14)
+        for K, T, n in itertools.product(range(2, 5), range(2, 9), range(1, 4)):
+            c_gamma = float(rng.uniform(0.0, 4.0))
+            a = random_block_gamma(K, T, n, c_gamma, int(rng.integers(2**32)))
+            b = random_block_gamma(K, T, n, c_gamma, int(rng.integers(2**32)))
+            w = rng.uniform()
+            A, lower, upper = gamma_step._lp_rows(K, T, n, c_gamma)
+            for gamma in (a, w * a + (1.0 - w) * b):
+                x = gamma_step._start_point(gamma)
+                assert x.shape == (A.shape[1],)
+                Ax = A @ x
+                assert np.all(lower - 1e-12 <= Ax) and np.all(Ax <= upper + 1e-12)
+                n_gamma = (K - 1) * T * n
+                assert x.min() >= 0.0 and x[:n_gamma].max() <= 1.0
 
     def test_no_module_cache(self):
         assert not any(hasattr(v, "cache_info") for v in vars(gamma_step).values())
