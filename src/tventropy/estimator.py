@@ -89,6 +89,7 @@ class FitResult:
     # what the fit did; not written to model files
     lp_solves: int = 0              # affiliation LPs run (shortcut hits add none)
     simplex_iterations: int = 0     # summed over those LPs
+    shortcut_hits: int = 0          # affiliation solves the argmax assignment answered
     lambda_unconverged: int = 0     # lambda subproblems that ran out of iterations
 
     @property
@@ -222,6 +223,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         converged=converged, degenerate=degenerate, config=config,
         n_outer=len(trace), lp_solves=solver.lp_solves,
         simplex_iterations=solver.simplex_iterations,
+        shortcut_hits=solver.shortcut_hits,
         lambda_unconverged=lambda_unconverged)
 
 
@@ -268,13 +270,20 @@ def anneal(panel, config: ModelConfig) -> FitResult:
     """Best of ``config.n_anneal`` restarts by objective value.
 
     Restart r draws its initial affiliation with seed ``config.seed + r``;
-    ties keep the earliest restart, so the result is reproducible.
+    ties keep the earliest restart, so the result is reproducible.  ``fit``
+    is deterministic in its start, so a restart whose start repeats an
+    earlier one's is skipped: it could only tie.
     """
     values = _as_values(panel)
     T, n = values.shape
     best: FitResult | None = None
+    seen = set()
     for r in range(config.n_anneal):
         gamma0 = random_block_gamma(config.k, T, n, config.c_gamma, config.seed + r)
+        key = gamma0.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
         result = fit(values, config, gamma0=gamma0)
         if best is None or result.objective > best.objective:
             best = result

@@ -13,7 +13,10 @@ temporal difference is split into nonnegative ``up`` and ``down`` parts tied
 to it by one equality row, and each regime's budget row bounds the sum of its
 parts.  The cheapest split of a difference d is (max(d, 0), max(-d, 0)), so a
 field fits the budget rows exactly when its TV is within budget.  That gives
-K(T-1)n + Tn + K rows.  The LP is solved exactly with HiGHS primal simplex
+K(T-1)n + Tn + K rows.  For K = 2 the eliminated regime's weights are
+1 - gamma[0], whose TV equals gamma[0]'s, so only regime 0 keeps difference
+rows and a budget row, and "weights sum <= 1" is gamma[0]'s column bound:
+(T-1)n + 1 rows.  The LP is solved exactly with HiGHS primal simplex
 through scipy's vendored HiGHS bindings (``scipy.optimize._highspy``,
 scipy >= 1.15); there is no other solve path.  When the per-point argmax
 assignment already satisfies every budget the LP is skipped: that assignment
@@ -28,8 +31,9 @@ cold ones.  The first LP of a session starts from ``gamma_prev`` (with the
 cheapest split of its differences) when that field is within budget, which
 in a fit it is: the random block start is feasible by construction and a
 warm start comes from a cell whose budget was no larger.  The solver counts
-its LP runs (``lp_solves``) and their simplex iterations
-(``simplex_iterations``).
+its LP runs (``lp_solves``), their simplex iterations
+(``simplex_iterations``) and the solves the shortcut answered
+(``shortcut_hits``).
 Each solver builds its constraint matrix and row bounds once, from index
 arithmetic (``_lp_rows``); there is no module-level cache.
 """
@@ -72,43 +76,48 @@ def _lp_rows(K: int, T: int, n: int, c_gamma: float):
     """Constraint matrix (CSC) and row lower and upper bounds of the reduced LP.
 
     Variable order: gamma[k,t,i] for k = 0..K-2 (row-major in (t,i)), then
-    up[k,t,i] for k = 0..K-1 over t = 0..T-2, then down[k,t,i] in the same
-    order.  Rows: the difference equalities
+    up[k,t,i] for every budgeted regime k over t = 0..T-2, then down[k,t,i]
+    in the same order.  Rows: the difference equalities
     gamma[k,t+1,i] - gamma[k,t,i] - up[k,t,i] + down[k,t,i] = 0 per regime
     (the eliminated regime last, its difference being minus the sum of the
     others'), the "weights sum <= 1" rows, and one budget row
     sum_{t,i} up[k,t,i] + down[k,t,i] <= c_gamma per regime: K(T-1)n + Tn + K
-    rows in all.
+    rows in all.  For K = 2 only regime 0 is budgeted, since
+    gamma[1] = 1 - gamma[0] has the same TV, and the "weights sum <= 1" rows
+    are gamma[0]'s column bound: (T-1)n + 1 rows.
     """
+    budgeted, n_simplex = (1, 0) if K == 2 else (K, T * n)
     m = (T - 1) * n                         # differences per regime
     d = np.arange(m)                        # difference (t, i) -> t*n + i
-    g = np.arange(T * n)
+    g = np.arange(n_simplex)
     n_gamma = (K - 1) * T * n
-    up, down = n_gamma, n_gamma + K * m     # first up and first down column
+    up, down = n_gamma, n_gamma + budgeted * m   # first up and first down column
     blocks = []                             # (rows, cols, value) triplet groups
-    for k in range(K):
+    for k in range(budgeted):
         r = k * m + d
         regimes, sign = ([k], 1.0) if k < K - 1 else (range(K - 1), -1.0)
         for j in regimes:                   # sign * (gamma[j,t+1,i] - gamma[j,t,i])
             blocks += [(r, j * T * n + d + n, sign), (r, j * T * n + d, -sign)]
         blocks += [(r, up + k * m + d, -1.0), (r, down + k * m + d, 1.0)]
-    blocks += [(K * m + g, j * T * n + g, 1.0) for j in range(K - 1)]
-    blocks += [(np.full(m, K * m + T * n + k), first + k * m + d, 1.0)
-               for k in range(K) for first in (up, down)]
+    blocks += [(budgeted * m + g, j * T * n + g, 1.0) for j in range(K - 1)]
+    blocks += [(np.full(m, budgeted * m + n_simplex + k), first + k * m + d, 1.0)
+               for k in range(budgeted) for first in (up, down)]
     rows = np.concatenate([b[0] for b in blocks])
     cols = np.concatenate([b[1] for b in blocks])
     vals = np.concatenate([np.full(b[0].size, b[2]) for b in blocks])
-    # difference rows = 0, simplex rows <= 1, one budget row per regime
-    lower = np.concatenate([np.zeros(K * m), np.full(T * n + K, -np.inf)])
-    upper = np.concatenate([np.zeros(K * m), np.ones(T * n), np.full(K, float(c_gamma))])
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + 2 * K * m))
+    # difference rows = 0, simplex rows <= 1, one budget row per budgeted regime
+    lower = np.concatenate([np.zeros(budgeted * m), np.full(n_simplex + budgeted, -np.inf)])
+    upper = np.concatenate([np.zeros(budgeted * m), np.ones(n_simplex),
+                            np.full(budgeted, float(c_gamma))])
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + 2 * budgeted * m))
     return A, lower, upper
 
 
 def _start_point(gamma: np.ndarray) -> np.ndarray:
     """``gamma`` as column values of the ``_lp_rows`` LP: the kept regimes'
-    weights, then the cheapest up and down split of every difference."""
-    diff = np.diff(gamma, axis=1)
+    weights, then the cheapest up and down split of every budgeted regime's
+    differences (for K = 2, regime 0's only)."""
+    diff = np.diff(gamma[:1] if gamma.shape[0] == 2 else gamma, axis=1)
     return np.concatenate([gamma[:-1].ravel(), np.maximum(diff, 0.0).ravel(),
                            np.maximum(-diff, 0.0).ravel()])
 
@@ -132,6 +141,7 @@ class AffiliationSolver:
         self._gamma_cols = np.arange(self._n_gamma, dtype=np.int32)
         self.lp_solves = 0              # HiGHS runs; shortcut hits add none
         self.simplex_iterations = 0     # summed over those runs
+        self.shortcut_hits = 0          # solves answered by the argmax assignment
 
     def _build_highs(self):
         A, row_lower, row_upper = _lp_rows(self.K, self.T, self.n, self.c_gamma)
@@ -206,6 +216,7 @@ class AffiliationSolver:
         eff = scores if gamma_prev is None else scores + PREFERENCE_WEIGHT * gamma_prev
         gamma = hard_assignment(eff)
         if max(tv_norm(gamma, k) for k in range(self.K)) <= self.c_gamma:
+            self.shortcut_hits += 1
             return gamma
 
         feasible = gamma_prev is not None and max(

@@ -207,9 +207,11 @@ def rle_encode_loop(gamma: np.ndarray) -> list:
 def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     """Reference for ``gamma_step._lp_rows``: the reduced LP's matrix put
     together from ``sp.kron`` / ``sp.hstack`` / ``sp.vstack`` blocks, and its
-    row lower and upper bounds."""
+    row lower and upper bounds.  For K = 2 only regime 0 gets difference rows,
+    up and down columns and a budget row, and there are no simplex rows."""
     import scipy.sparse as sp
 
+    B, n_simplex = (1, 0) if K == 2 else (K, T * n)     # budgeted regimes, simplex rows
     D = sp.kron(
         sp.diags([-np.ones(T), np.ones(T - 1)], [0, 1], shape=(T - 1, T)),
         sp.identity(n), format="csc")                    # (T-1)n x Tn temporal difference
@@ -217,7 +219,7 @@ def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     Ze = sp.csc_matrix(((T - 1) * n, (T - 1) * n))
     Ie = sp.identity((T - 1) * n, format="csc")
     rows = []
-    for k in range(K):
+    for k in range(B):
         # gamma[k,t+1,i] - gamma[k,t,i] - up[k,t,i] + down[k,t,i] = 0; the
         # eliminated regime's difference is minus the sum of the others'
         if k < K - 1:
@@ -225,18 +227,19 @@ def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
             gblk[k] = D
         else:
             gblk = [-D] * (K - 1)
-        ublk, dblk = [Ze] * K, [Ze] * K
+        ublk, dblk = [Ze] * B, [Ze] * B
         ublk[k], dblk[k] = -Ie, Ie
         rows.append(sp.hstack(gblk + ublk + dblk))
-    rows.append(sp.hstack([sp.identity(T * n, format="csc")] * (K - 1)
-                          + [sp.csc_matrix((T * n, 2 * K * (T - 1) * n))]))
+    if n_simplex:
+        rows.append(sp.hstack([sp.identity(T * n, format="csc")] * (K - 1)
+                              + [sp.csc_matrix((T * n, 2 * K * (T - 1) * n))]))
     ones = sp.csc_matrix(np.ones((1, (T - 1) * n)))
     zero1 = sp.csc_matrix((1, (T - 1) * n))
-    for k in range(K):
-        eblk = [zero1] * K
+    for k in range(B):
+        eblk = [zero1] * B
         eblk[k] = ones
         rows.append(sp.hstack([sp.csc_matrix((1, T * n))] * (K - 1) + eblk + eblk))
-    m = K * (T - 1) * n
-    lower = np.concatenate([np.zeros(m), np.full(T * n + K, -np.inf)])
-    upper = np.concatenate([np.zeros(m), np.ones(T * n), np.full(K, float(c_gamma))])
+    m = B * (T - 1) * n
+    lower = np.concatenate([np.zeros(m), np.full(n_simplex + B, -np.inf)])
+    upper = np.concatenate([np.zeros(m), np.ones(n_simplex), np.full(B, float(c_gamma))])
     return sp.vstack(rows, format="csc"), lower, upper

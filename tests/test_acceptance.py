@@ -179,6 +179,7 @@ def test_criterion_06_decoupling_into_1d_problems():
 N_STUDY_SEEDS = 20
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_study():
     t0 = time.time()
     out = {}
@@ -200,6 +201,7 @@ def test_criterion_07_synthetic_study():
            f"CE(2)={out[2.0][0]:.4f}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_model_selection_sanity():
     t0 = time.time()
     chosen = pooled(selection_study,

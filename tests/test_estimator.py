@@ -141,6 +141,7 @@ class TestFit:
         assert result.lp_solves >= 1 and result.simplex_iterations > 0
         result = fit(values, ModelConfig(k=1, c_gamma=2.0, m=4))
         assert (result.lp_solves, result.simplex_iterations) == (0, 0)
+        assert result.shortcut_hits == result.n_outer    # every K=1 solve
 
     def test_reports_unconverged_lambda_steps(self):
         values, _, _ = scaled_synthetic(seed=1)
@@ -204,6 +205,37 @@ class TestAnneal:
         np.testing.assert_array_equal(a.gamma, b.gamma)
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
         assert a.trace == b.trace
+
+    def test_repeated_starts_fit_once(self, monkeypatch):
+        # with C_gamma=1 on one dimension there are only four block starts
+        values, _, _ = scaled_synthetic(seed=9, T=200, period=50)
+        config = ModelConfig(k=2, c_gamma=1.0, m=4, n_anneal=8, seed=5)
+        starts = [random_block_gamma(2, 200, 1, 1.0, 5 + r) for r in range(8)]
+        unique = [g for r, g in enumerate(starts)
+                  if not any(np.array_equal(g, h) for h in starts[:r])]
+        assert len(unique) < len(starts)
+        best = None
+        for g in unique:
+            result = fit(values, config, gamma0=g)
+            if best is None or result.objective > best.objective:
+                best = result
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(kwargs["gamma0"])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr("tventropy.estimator.fit", counting_fit)
+        annealed = anneal(values, config)
+        assert len(calls) == len(unique)
+        for got, want in zip(calls, unique):
+            np.testing.assert_array_equal(got, want)
+        assert annealed.objective == best.objective
+        np.testing.assert_array_equal(annealed.gamma, best.gamma)
+        np.testing.assert_array_equal(annealed.lambdas, best.lambdas)
+        # the counters are the best restart's, not sums
+        assert (annealed.lp_solves, annealed.shortcut_hits) == (best.lp_solves,
+                                                                best.shortcut_hits)
 
 
 class TestParamCountAndBic:

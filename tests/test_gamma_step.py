@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, tv_norm
@@ -189,6 +189,7 @@ class TestAffiliationSolver:
                 assert lp_obj >= enumerate_binary_max(scores, c_gamma) - 1e-9
 
     @settings(derandomize=True, database=None, deadline=None)
+    @example(K=2, T=8, n=2, c_gamma=1.0, use_prev=True, use_start=True, seed=3)
     @given(K=st.integers(2, 4), T=st.integers(2, 8), n=st.integers(1, 3),
            # integer budgets (what `grid` runs) give the most degenerate LPs
            c_gamma=st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)),
@@ -260,6 +261,32 @@ class TestAffiliationSolver:
         np.testing.assert_array_equal(gamma, np.ones((1, 20, 1)))
         assert counts == (0, 0) and solver._highs is None
 
+    def test_counts_shortcut_hits(self):
+        rng = np.random.default_rng(8)
+        solver = AffiliationSolver(2, 20, 1, 2.0)
+        solver.solve(rng.normal(size=(2, 20, 1)))
+        assert (solver.lp_solves, solver.shortcut_hits) == (1, 0)
+        scores = rng.normal(size=(2, 20, 1))
+        scores[0] += 10.0
+        solver.solve(scores)
+        solver.solve(scores, gamma_prev=gamma_step.hard_assignment(scores))
+        assert (solver.lp_solves, solver.shortcut_hits) == (1, 2)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_two_regimes_single_step(self, n):
+        # T=1 leaves the K=2 LP with no difference rows and an empty budget row
+        A, lower, upper = gamma_step._lp_rows(2, 1, n, 1.0)
+        assert A.shape == (1, n) and A.nnz == 0
+        assert lower.tolist() == [-np.inf] and upper.tolist() == [1.0]
+        scores = np.random.default_rng(n).normal(size=(2, 1, n))
+        solver = AffiliationSolver(2, 1, n, 1.0)
+        want = gamma_step.hard_assignment(scores)
+        np.testing.assert_array_equal(solver.solve(scores), want)
+        assert solver.shortcut_hits == 1
+        gamma = solver._solve_lp(scores, want)       # the LP itself, started at its optimum
+        assert solver.lp_solves == 1
+        np.testing.assert_allclose(gamma, want, atol=1e-12)
+
 
 class TestLpRows:
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
@@ -271,7 +298,11 @@ class TestLpRows:
                 A, lower, upper = gamma_step._lp_rows(K, T, n, 2.5)
                 B, want_lower, want_upper = lp_rows_blocks(K, T, n, 2.5)
                 assert A.format == "csc" and A.shape == B.shape
-                assert A.shape[0] == K * (T - 1) * n + T * n + K
+                if K == 2:   # regime 0's differences and budget only
+                    assert A.shape == ((T - 1) * n + 1, T * n + 2 * (T - 1) * n)
+                else:
+                    assert A.shape == (K * (T - 1) * n + T * n + K,
+                                       (K - 1) * T * n + 2 * K * (T - 1) * n)
                 for got, ref in [(A.indptr, B.indptr), (A.indices, B.indices),
                                  (A.data, B.data), (lower, want_lower),
                                  (upper, want_upper)]:
@@ -286,11 +317,16 @@ class TestLpRows:
             b = random_block_gamma(K, T, n, c_gamma, int(rng.integers(2**32)))
             w = rng.uniform()
             A, lower, upper = gamma_step._lp_rows(K, T, n, c_gamma)
+            budgeted = 1 if K == 2 else K
             for gamma in (a, w * a + (1.0 - w) * b):
                 x = gamma_step._start_point(gamma)
                 assert x.shape == (A.shape[1],)
                 Ax = A @ x
                 assert np.all(lower - 1e-12 <= Ax) and np.all(Ax <= upper + 1e-12)
+                # the budget rows carry each budgeted regime's TV
+                np.testing.assert_allclose(
+                    Ax[-budgeted:], [tv_norm(gamma, k) for k in range(budgeted)],
+                    rtol=1e-12, atol=1e-12)
                 n_gamma = (K - 1) * T * n
                 assert x.min() >= 0.0 and x[:n_gamma].max() <= 1.0
 
