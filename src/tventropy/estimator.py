@@ -154,7 +154,9 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     Regimes whose weight mass drops below a small floor (m + 2 points) are
     frozen for the iteration, mirroring the empty-regime rule; this keeps the
     likelihood bounded when the affiliation hands a regime only a sliver of
-    the data.
+    the data.  ``converged`` is False when the outer budget runs out, and
+    also when a regime subproblem of the last outer iteration ran out of
+    iterations.
     """
     values = _as_values(panel)
     T, n = values.shape
@@ -187,6 +189,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     lambda_unconverged = 0
     for _ in range(config.max_outer_iter):
         lam_moved = 0.0
+        stalled = 0                           # lambda subproblems out of iterations
         for k in range(K):
             w = gamma[k]
             if w.sum() < mass_floor:
@@ -194,7 +197,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
             res = fit_lambda(F, w, c_lambda=c_lam[k], tol=config.tol_lambda,
                              max_iter=config.max_lambda_iter, quad=quad,
                              warm_start=lambdas[k])
-            lambda_unconverged += not res.converged
+            stalled += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
             # guard against float-order regressions of the shared objective
             if float((w * new_scores_k).sum()) >= float((w * scores[k]).sum()):
@@ -203,6 +206,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
                 log_zs[k] = res.log_z
                 scores[k] = new_scores_k
 
+        lambda_unconverged += stalled
         gamma_new = solver.solve(scores, gamma_prev=gamma)
         moved = float(np.abs(gamma_new - gamma).max())
         gamma = gamma_new
@@ -210,7 +214,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         trace.append(L)
         if (moved < 1e-12 and lam_moved < 1e-12) or (
                 abs(L - L_prev) < config.tol_outer * (1.0 + abs(L))):
-            converged = True
+            converged = stalled == 0
             break
         L_prev = L
 

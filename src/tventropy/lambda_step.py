@@ -6,16 +6,16 @@ For one regime with point weights w >= 0 over the scaled panel, the objective
            = -(lam . S + W ln Z),   S_j = sum w x^j,  W = sum w,
 
 is concave in lam (ln Z is a log-partition).  ``fit_lambda`` maximises it
-subject to |lam|_1 <= c_lambda with a projected ascent scheme: damped
-Newton steps, which backtrack from the full step along the Newton direction
-and take the first candidate inside the l1 ball that passes an Armijo test,
-and projected-gradient steps with backtracking only when no Newton candidate
-does.  The damping matters for high moment orders, whose monomial covariance
-is badly conditioned: from a far start the full step overshoots, and plain
-gradient ascent crawls.  Every accepted step improves the objective, so the
-iterate trace is monotone.  An infinite ``c_lambda`` runs the same code: every
-point is interior, every candidate is inside the ball, and projecting onto
-the ball returns a copy.
+subject to |lam|_1 <= c_lambda with a projected ascent scheme.  When the
+full Newton point lies in the l1 ball, a damped Newton step backtracks along
+the Newton direction to the first candidate that passes an Armijo test (the
+ball is convex, so every candidate lies in it).  Otherwise, or when no
+candidate passes, a backtracking projected-gradient step, which owns the
+boundary, is taken.  The damping matters for high moment orders, whose
+monomial covariance is badly conditioned: from a far start the full step
+overshoots, and plain gradient ascent crawls.  Every accepted step improves
+the objective, so the iterate trace is monotone.  An infinite ``c_lambda``
+runs the same code: the ball test always passes and projecting is a copy.
 
 log Z and the moments come from the density engine's one quadrature kernel,
 :func:`.maxent.log_z_and_moments`.
@@ -53,7 +53,8 @@ def feature_matrix(values: np.ndarray, m: int) -> np.ndarray:
     return np.power.outer(np.clip(values, -1.0, 1.0), np.arange(1, m + 1))
 
 
-def _weighted_sums(features: np.ndarray, w: np.ndarray):
+def _weighted_sums(features: np.ndarray, w: np.ndarray, lam: np.ndarray):
+    """S and W, once w and the coefficient length are checked against the features."""
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
@@ -64,6 +65,8 @@ def _weighted_sums(features: np.ndarray, w: np.ndarray):
     S = np.tensordot(w, features, axes=([0, 1], [0, 1]))
     if not np.all(np.isfinite(S)):
         raise ValueError("features and weights must be finite")
+    if lam.size != features.shape[2]:
+        raise ValueError("coefficient length does not match feature order")
     return S, float(w.sum())
 
 
@@ -71,9 +74,7 @@ def weighted_loglik(lam, features: np.ndarray, w, quad: QuadratureRule | None = 
     """-(lam . S + W ln Z): the gamma-weighted log-likelihood of one regime."""
     lam = validate_lambda(lam)
     quad = quad or gauss_legendre()
-    S, W = _weighted_sums(features, w)
-    if lam.size != features.shape[2]:
-        raise ValueError("coefficient length does not match feature order")
+    S, W = _weighted_sums(features, w, lam)
     log_z, _ = log_z_and_moments(lam, quad, lam.size)
     return float(-(lam @ S + W * log_z))
 
@@ -82,7 +83,7 @@ def loglik_gradient(lam, features: np.ndarray, w, quad: QuadratureRule | None = 
     """Gradient of the objective: component j is W * (E_lam[X^j] - mu_hat_j)."""
     lam = validate_lambda(lam)
     quad = quad or gauss_legendre()
-    S, W = _weighted_sums(features, w)
+    S, W = _weighted_sums(features, w, lam)
     if W <= 0:
         raise EmptyRegime("gradient undefined for zero total weight")
     _, mom = log_z_and_moments(lam, quad, lam.size)
@@ -125,11 +126,11 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
                warm_start=None) -> LambdaFit:
     """Maximise the weighted log-likelihood subject to |lam|_1 <= c_lambda.
 
-    Each iteration first tries the Newton direction d with step t = 1, 1/2,
-    1/4, ..., accepting the first candidate lam + t d that lies inside the
-    l1 ball and satisfies h_new >= h + 1e-4 t (g . d) and h_new >= h; only
-    when every such candidate fails does it fall back to a backtracking
-    projected-gradient step.
+    When the full Newton point lam + d lies in the l1 ball, each iteration
+    tries the steps t = 1, 1/2, 1/4, ... along d and accepts the first
+    candidate lam + t d with h_new >= h + 1e-4 t (g . d) and h_new >= h.
+    When the full point leaves the ball, or every candidate fails, it takes
+    a backtracking projected-gradient step instead.
 
     Raises EmptyRegime when the weights carry no mass.  If the iteration
     budget runs out the best iterate is returned with ``converged=False``
@@ -137,14 +138,13 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
     """
     quad = quad or gauss_legendre()
     m = features.shape[2]
-    S, W = _weighted_sums(features, w)
+    lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start)
+    S, W = _weighted_sums(features, w, lam)
     if W <= 0:
         raise EmptyRegime("cannot fit a regime with zero total weight")
     if tol <= 0:
         raise ValueError("tol must be positive")
     mu_hat = S / W
-
-    lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start)
     lam = project_l1_ball(lam, c_lambda)        # a new array: never aliases warm_start
 
     log_z, mom = log_z_and_moments(lam, quad, 2 * m)
@@ -173,20 +173,19 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         try:
             d = np.linalg.solve(H + 1e-13 * np.eye(m), g)
         except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)) and g @ d > 0:
-            # damped Newton: backtrack along d, skipping points outside the ball
+            d = np.full(m, np.nan)
+        if np.all(np.isfinite(d)) and g @ d > 0 and np.abs(lam + d).sum() <= c_lambda:
+            # damped Newton; the ball is convex, so every lam + t d (t <= 1) is in it
             t = 1.0
             for _ in range(30):
                 cand = lam + t * d
-                if np.abs(cand).sum() <= c_lambda:
-                    lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
-                    h_n = -(cand @ mu_hat + lz_n)
-                    if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
-                        lam, log_z, mom, h = cand, lz_n, mom_n, h_n
-                        trace.append(W * h)
-                        accepted = True
-                        break
+                lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
+                h_n = -(cand @ mu_hat + lz_n)
+                if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
+                    lam, log_z, mom, h = cand, lz_n, mom_n, h_n
+                    trace.append(W * h)
+                    accepted = True
+                    break
                 t *= 0.5
 
         if not accepted:

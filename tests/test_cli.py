@@ -260,6 +260,7 @@ class TestFitCommand:
     ["grid", "{csv}", "--stage2-points", "-1"],
     ["grid", "{csv}", "--jobs", "0"],
     ["fit", "{csv}", "--clambda", "nan"],
+    ["var", "{csv}", "--train-split", "400", "--model", "{model}"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
     argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]
@@ -292,6 +293,20 @@ class TestGridCommand:
                   "--stage2-points", "0", "-o", str(tmp_path / "g.json"),
                   "--output-csv", str(tmp_path / "g.csv")])
         assert exc.value.code == 2
+
+    def test_model_output_is_the_chosen_model(self, synthetic_csv, tmp_path):
+        grid, model = tmp_path / "g.json", tmp_path / "best.json"
+        assert main(["grid", str(synthetic_csv), "--kmax", "2", "--cgamma-max", "2",
+                     "--m", "4", "--anneal", "1", "--stage2-points", "2",
+                     "-o", str(grid), "--output-csv", str(tmp_path / "g.csv"),
+                     "--model-output", str(model)]) == 0
+        chosen = json.loads(grid.read_text())["chosen"]
+        fit_result, _, labels = load_model(model)
+        assert (fit_result.k, fit_result.config.c_gamma) == (chosen["k"], chosen["c_gamma"])
+        assert fit_result.bic == chosen["bic"]
+        c_lambda = fit_result.config.c_lambda_per_regime()
+        assert (None if np.isinf(c_lambda).all() else c_lambda.tolist()) == chosen["c_lambda"]
+        assert labels == ["x1"] and fit_result.shape == (400, 1)
 
     def test_jobs_flag_gives_same_report(self, synthetic_csv, tmp_path):
         base = ["grid", str(synthetic_csv), "--kmax", "2", "--cgamma-max", "2",

@@ -214,6 +214,12 @@ class TestSimulatedAcf:
         b = simulated_acf(fit_result, n_samples=50, max_lag=5, seed=3)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("max_lag", [30, 31])
+    def test_lag_beyond_fitted_length_rejected(self, max_lag):
+        fit_result = make_fit([[0.0, 3.0, 0, 0, 0, 0]], T=30)
+        with pytest.raises(ValueError, match="max_lag"):
+            simulated_acf(fit_result, n_samples=5, max_lag=max_lag)
+
 
 class TestSimulatePanels:
     def test_shape_and_determinism(self):

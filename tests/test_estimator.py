@@ -145,9 +145,13 @@ class TestFit:
 
     def test_reports_unconverged_lambda_steps(self):
         values, _, _ = scaled_synthetic(seed=1)
-        assert fit(values, ModelConfig(k=2, c_gamma=3.0, m=4)).lambda_unconverged == 0
+        result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4))
+        assert result.lambda_unconverged == 0 and result.converged
         result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4, max_lambda_iter=1))
         assert result.lambda_unconverged > 0
+        # the outer test passed, but its last lambda subproblems did not converge
+        assert result.n_outer < result.config.max_outer_iter
+        assert not result.converged
 
     def test_gamma0_shape_checked(self):
         values, _, _ = scaled_synthetic(seed=6)

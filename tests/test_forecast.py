@@ -179,6 +179,20 @@ class TestBacktest:
         other = backtest(fit, scaled_map, scaled_returns, alphas=(0.95,))
         np.testing.assert_array_equal(base.violations, other.violations)
 
+    def test_one_dimensional_series(self):
+        fit = make_fit([[0.0, 2.0, 0, 0, 0, 0]])
+        x = np.random.default_rng(3).uniform(-1, 1, size=60)
+        flat = backtest(fit, IDENTITY, x, alphas=(0.9,))
+        column = backtest(fit, IDENTITY, x[:, None], alphas=(0.9,))
+        assert flat.t_out == 60 and flat.labels == ("x1",)
+        np.testing.assert_array_equal(flat.violations, column.violations)
+        np.testing.assert_array_equal(flat.p_value, column.p_value)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 1)])
+    def test_empty_series_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            backtest(make_fit([[0.0, 2.0]]), IDENTITY, np.zeros(shape))
+
     def test_rows_iteration(self):
         fit = make_fit([np.zeros(4)])
         returns = np.zeros((10, 1)) + 0.1

@@ -10,6 +10,7 @@ from tventropy import (
     feature_matrix,
     fit_lambda,
     gauss_legendre,
+    lambda_step,
     log_partition,
     loglik_gradient,
     moments,
@@ -100,6 +101,16 @@ class TestGradient:
         F = feature_matrix(np.array([[0.1], [0.2]]), 2)
         with pytest.raises(EmptyRegime):
             loglik_gradient(np.zeros(2), F, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("lam", [[0.5], np.zeros(7)])
+    def test_coefficient_length_must_match_features(self, lam):
+        x = np.array([[0.1], [-0.4], [0.7]])
+        F, w = feature_matrix(x, 6), np.ones((3, 1))
+        for fn in (loglik_gradient, weighted_loglik):
+            with pytest.raises(ValueError, match="feature order"):
+                fn(lam, F, w)
+        with pytest.raises(ValueError, match="feature order"):
+            fit_lambda(F, w, warm_start=lam)
 
 
 class TestProjectL1Ball:
@@ -210,6 +221,43 @@ class TestFitLambda:
                          warm_start=[-7.65, 19.2, 16.4, 112.1, -733.5, 966.3])
         assert res.converged
         assert np.all(np.diff(res.trace) >= 0)
+
+    def test_bounded_kkt(self, monkeypatch):
+        # every point a line search evaluates lies in the l1 ball, and every
+        # converged result is feasible with a projected-gradient residual <= tol
+        kernel, norms = lambda_step.log_z_and_moments, []
+
+        def spy(lam, quad, j_max):
+            norms.append(np.abs(lam).sum())
+            return kernel(lam, quad, j_max)
+
+        monkeypatch.setattr(lambda_step, "log_z_and_moments", spy)
+        rng = np.random.default_rng(17)
+        tol = lambda_step.DEFAULT_TOL
+        on_boundary = converged = 0
+        for trial in range(40):
+            m, T = int(rng.integers(2, 13)), int(rng.integers(50, 301))
+            x = np.clip(rng.standard_t(4, size=(T, 1)) * rng.uniform(0.05, 0.4), -1, 1)
+            w = rng.uniform(0, 1, size=(T, 1))
+            c = 10 ** rng.uniform(-0.5, 1.5)
+            F = feature_matrix(x, m)
+            norms.clear()
+            res = fit_lambda(F, w, c_lambda=c, tol=tol,
+                             warm_start=rng.normal(0, 3, size=m) if trial % 2 else None)
+            assert max(norms) <= c * (1 + 1e-12)
+            if not res.converged:
+                continue
+            converged += 1
+            lam = res.lam
+            assert np.abs(lam).sum() <= c * (1 + 1e-12)
+            g = loglik_gradient(lam, F, w) / w.sum()
+            if np.abs(lam).sum() < c - tol:
+                resid = g
+            else:
+                on_boundary += 1
+                resid = project_l1_ball(lam + g, c) - lam
+            assert np.abs(resid).max() <= tol
+        assert converged >= 35 and on_boundary >= 10
 
     def test_empty_regime_raises(self):
         F = feature_matrix(np.array([[0.1], [0.2]]), 2)
