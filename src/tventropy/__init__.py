@@ -57,11 +57,9 @@ from .lambda_step import (
     weighted_loglik,
 )
 from .maxent import (
-    QuadratureRule,
     cdf,
     density,
     entropy,
-    gauss_legendre,
     log_partition,
     moments,
     quantile,

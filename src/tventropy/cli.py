@@ -48,7 +48,6 @@ def _add_common(p):
                    help=f"moment order (default {ModelConfig.m})")
     p.add_argument("--anneal", type=int, default=ModelConfig.n_anneal, dest="n_anneal",
                    metavar="ANNEAL", help=f"annealing restarts (default {ModelConfig.n_anneal})")
-    p.add_argument("--quad-order", type=int, default=ModelConfig.quad_order)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSeries
 from .estimator import FitResult
-from .maxent import gauss_legendre, moments, sample
+from .maxent import moments, sample
 from .panel import Panel, ScalingMap
 
 
@@ -44,6 +44,8 @@ def gen_two_regime_gaussian(v2: float, T: int = 1000, switch_period: int = 250,
     """
     if v2 <= 0:
         raise ValueError("v2 must be positive")
+    if switch_period < 1:
+        raise ValueError(f"switch_period must be >= 1, got {switch_period}")
     rng = np.random.default_rng(seed)
     regime = (np.arange(T) // switch_period) % 2
     v_true = np.where(regime == 0, 1.0, float(v2))
@@ -82,10 +84,9 @@ def relative_error(v_true, v_est) -> float:
 
 def regime_variances(fit_result: FitResult, scaling: ScalingMap, i: int = 0) -> np.ndarray:
     """Per-regime variance in return units: Var_scaled / a_i^2."""
-    quad = gauss_legendre(fit_result.config.quad_order)
     out = np.empty(fit_result.k)
     for k in range(fit_result.k):
-        mom = moments(fit_result.lambdas[k], quad, 2)
+        mom = moments(fit_result.lambdas[k], 2)
         out[k] = (mom[1] - mom[0] ** 2) / scaling.a[i] ** 2
     return out
 
@@ -119,8 +120,9 @@ def acf_abs(x, d: float = 1.0, max_lag: int = 50) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[-1]
-    if max_lag >= T:
-        raise ValueError("max_lag must be smaller than the series length")
+    if not 1 <= max_lag < T:
+        raise ValueError(f"max_lag must be >= 1 and below the series length {T}, "
+                         f"got {max_lag}")
     y = np.abs(x) ** d
     yc = y - y.mean(axis=-1, keepdims=True)
     denom = np.einsum("...t,...t->...", yc, yc)
@@ -147,14 +149,12 @@ def acf_bands(rho, T: int) -> tuple[np.ndarray, np.ndarray]:
 def _simulate_dim(fit_result: FitResult, i: int, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, T) scaled draws along dimension i's fitted hard regime path."""
     hard = fit_result.hard_path()[:, i]
-    quad = gauss_legendre(fit_result.config.quad_order)
     sims = np.empty((n_samples, hard.size))
     for k in range(fit_result.k):
         pos = np.nonzero(hard == k)[0]
         if pos.size == 0:
             continue
-        draws = sample(fit_result.lambdas[k], n_samples * pos.size,
-                       seed=seed + k, quad=quad)
+        draws = sample(fit_result.lambdas[k], n_samples * pos.size, seed=seed + k)
         sims[:, pos] = draws.reshape(n_samples, pos.size)
     return sims
 
@@ -292,6 +292,8 @@ def transition_graph(jumps: dict[str, tuple[np.ndarray, np.ndarray]],
     edge is kept at the lag minimising the p-value when that minimum is at or
     below the threshold.
     """
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     names = tuple(jumps.keys())
     lengths = {name: jumps[name][0].size for name in names}
     if len(set(lengths.values())) > 1:

@@ -27,7 +27,7 @@ import numpy as np
 from .gamma_step import AffiliationSolver, build_scores
 from .lambda_step import (DEFAULT_MAX_ITER, DEFAULT_TOL, feature_matrix, fit_lambda,
                           project_l1_ball, sparsify)
-from .maxent import DEFAULT_QUAD_ORDER, MAX_ORDER, gauss_legendre, log_partition
+from .maxent import MAX_ORDER, log_partition
 from .panel import Panel
 
 
@@ -40,7 +40,6 @@ class ModelConfig:
     c_lambda: tuple | float = math.inf   # l1 bound(s); scalar broadcasts over regimes
     m: int = 6                      # moment order
     n_anneal: int = 10
-    quad_order: int = DEFAULT_QUAD_ORDER
     tol_outer: float = 1e-6
     max_outer_iter: int = 200
     seed: int = 0
@@ -53,9 +52,11 @@ class ModelConfig:
             raise ValueError("need at least one regime")
         if not 1 <= self.m <= MAX_ORDER:
             raise ValueError(f"moment order must be in 1..{MAX_ORDER}")
-        if min(self.n_anneal, self.max_outer_iter, self.max_lambda_iter) < 1 or self.quad_order < 2:
-            raise ValueError("n_anneal, max_outer_iter and max_lambda_iter must be >= 1, "
-                             "quad_order >= 2")
+        if min(self.n_anneal, self.max_outer_iter, self.max_lambda_iter) < 1:
+            raise ValueError("n_anneal, max_outer_iter and max_lambda_iter must be >= 1")
+        if math.isinf(self.c_gamma):
+            raise ValueError("c_gamma must be finite; a budget of (T-1)n already leaves "
+                             "switching free")
         if not (self.c_gamma >= 0 and self.tol_outer >= 0 and self.eps_sparse >= 0
                 and self.tol_lambda > 0):
             raise ValueError("c_gamma, tol_outer and eps_sparse must be nonnegative, "
@@ -161,7 +162,6 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     values = _as_values(panel)
     T, n = values.shape
     K, m = config.k, config.m
-    quad = gauss_legendre(config.quad_order)
     F = feature_matrix(values, m)
     c_lam = config.c_lambda_per_regime()
     mass_floor = m + 2.0
@@ -179,7 +179,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         lambdas = np.array(lambda0, dtype=float, copy=True).reshape(K, m)
         for k in range(K):
             lambdas[k] = project_l1_ball(lambdas[k], c_lam[k])
-    log_zs = np.array([log_partition(lambdas[k], quad) for k in range(K)])
+    log_zs = np.array([log_partition(lambdas[k]) for k in range(K)])
 
     scores = build_scores(lambdas, F, log_zs)
     solver = AffiliationSolver(K, T, n, config.c_gamma)   # one LP session per fit
@@ -195,8 +195,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
             if w.sum() < mass_floor:
                 continue                      # frozen for this iteration
             res = fit_lambda(F, w, c_lambda=c_lam[k], tol=config.tol_lambda,
-                             max_iter=config.max_lambda_iter, quad=quad,
-                             warm_start=lambdas[k])
+                             max_iter=config.max_lambda_iter, warm_start=lambdas[k])
             stalled += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
             # guard against float-order regressions of the shared objective

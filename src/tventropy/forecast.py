@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .estimator import FitResult
-from .maxent import gauss_legendre, quantile
+from .maxent import quantile
 from .panel import ScalingMap
 
 
@@ -41,8 +41,7 @@ def var_forecast(fit_result: FitResult, k: int, alpha: float,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    quad = gauss_legendre(fit_result.config.quad_order)
-    q_scaled = quantile(fit_result.lambdas[k], 1.0 - alpha, quad)
+    q_scaled = quantile(fit_result.lambdas[k], 1.0 - alpha)
     q_return = (q_scaled - scaling.b[i]) / scaling.a[i]
     return -q_return
 

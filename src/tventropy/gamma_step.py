@@ -130,8 +130,8 @@ class AffiliationSolver:
     """
 
     def __init__(self, K: int, T: int, n: int, c_gamma: float):
-        if c_gamma < 0:
-            raise ValueError("c_gamma must be nonnegative")
+        if not c_gamma >= 0:
+            raise ValueError(f"c_gamma must be nonnegative, got {c_gamma}")
         if K < 1:
             raise ValueError("need at least one regime")
         self.K, self.T, self.n = K, T, n

@@ -17,8 +17,9 @@ overshoots, and plain gradient ascent crawls.  Every accepted step improves
 the objective, so the iterate trace is monotone.  An infinite ``c_lambda``
 runs the same code: the ball test always passes and projecting is a copy.
 
-log Z and the moments come from the density engine's one quadrature kernel,
-:func:`.maxent.log_z_and_moments`.
+log Z and the moments, and so the Newton system's monomial covariance, come
+from the density engine's one kernel, :func:`.maxent.log_z_and_moments`,
+over its fixed 200-node Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegime
-from .maxent import (
-    MAX_ORDER,
-    QuadratureRule,
-    gauss_legendre,
-    log_z_and_moments,
-    validate_lambda,
-)
+from .maxent import MAX_ORDER, log_z_and_moments, validate_lambda
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
@@ -70,23 +65,21 @@ def _weighted_sums(features: np.ndarray, w: np.ndarray, lam: np.ndarray):
     return S, float(w.sum())
 
 
-def weighted_loglik(lam, features: np.ndarray, w, quad: QuadratureRule | None = None) -> float:
+def weighted_loglik(lam, features: np.ndarray, w) -> float:
     """-(lam . S + W ln Z): the gamma-weighted log-likelihood of one regime."""
     lam = validate_lambda(lam)
-    quad = quad or gauss_legendre()
     S, W = _weighted_sums(features, w, lam)
-    log_z, _ = log_z_and_moments(lam, quad, lam.size)
+    log_z, _ = log_z_and_moments(lam, lam.size)
     return float(-(lam @ S + W * log_z))
 
 
-def loglik_gradient(lam, features: np.ndarray, w, quad: QuadratureRule | None = None) -> np.ndarray:
+def loglik_gradient(lam, features: np.ndarray, w) -> np.ndarray:
     """Gradient of the objective: component j is W * (E_lam[X^j] - mu_hat_j)."""
     lam = validate_lambda(lam)
-    quad = quad or gauss_legendre()
     S, W = _weighted_sums(features, w, lam)
     if W <= 0:
         raise EmptyRegime("gradient undefined for zero total weight")
-    _, mom = log_z_and_moments(lam, quad, lam.size)
+    _, mom = log_z_and_moments(lam, lam.size)
     return W * mom - S
 
 
@@ -122,7 +115,6 @@ class LambdaFit:
 
 def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-               quad: QuadratureRule | None = None,
                warm_start=None) -> LambdaFit:
     """Maximise the weighted log-likelihood subject to |lam|_1 <= c_lambda.
 
@@ -136,7 +128,6 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
     budget runs out the best iterate is returned with ``converged=False``
     rather than raising.
     """
-    quad = quad or gauss_legendre()
     m = features.shape[2]
     lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start)
     S, W = _weighted_sums(features, w, lam)
@@ -147,7 +138,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
     mu_hat = S / W
     lam = project_l1_ball(lam, c_lambda)        # a new array: never aliases warm_start
 
-    log_z, mom = log_z_and_moments(lam, quad, 2 * m)
+    log_z, mom = log_z_and_moments(lam, 2 * m)
     h = -(lam @ mu_hat + log_z)                 # objective per unit weight
     trace = [W * h]
     step = 1.0
@@ -179,7 +170,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             t = 1.0
             for _ in range(30):
                 cand = lam + t * d
-                lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
+                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
                 h_n = -(cand @ mu_hat + lz_n)
                 if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
                     lam, log_z, mom, h = cand, lz_n, mom_n, h_n
@@ -193,7 +184,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             for _ in range(60):
                 cand = project_l1_ball(lam + t * g, c_lambda)
                 delta = cand - lam
-                lz_n, mom_n = log_z_and_moments(cand, quad, 2 * m)
+                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
                 h_n = -(cand @ mu_hat + lz_n)
                 if h_n >= h + 1e-4 * (g @ delta) and h_n >= h:
                     lam, log_z, mom, h = cand, lz_n, mom_n, h_n

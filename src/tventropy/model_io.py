@@ -87,6 +87,11 @@ def obj_to_model(obj: dict) -> tuple[FitResult, ScalingMap, list[str]]:
         raise ValueError(f"unsupported model schema: {obj.get('schema')!r}")
     try:
         cfg_obj = obj["config"]
+        # older files name the quadrature order; only the fixed 200-node rule
+        # reproduces their lambda and log Z
+        if "quad_order" in cfg_obj and cfg_obj["quad_order"] != 200:
+            raise ValueError(f"model file was fitted with a {cfg_obj['quad_order']}-node "
+                             "quadrature rule; this version uses 200 nodes, refit the model")
         # keys absent from older schema-1 files take their defaults
         settings = {f.name: cfg_obj[f.name] for f in fields(ModelConfig) if f.name in cfg_obj}
         settings["c_lambda"] = tuple(math.inf if v is None else float(v)

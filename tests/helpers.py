@@ -97,13 +97,13 @@ def jump_series_loop(hard: np.ndarray, v_k: np.ndarray):
     return up, down
 
 
-def quantile_by_cdf(lam, alpha: float, quad=None) -> float:
+def quantile_by_cdf(lam, alpha: float) -> float:
     """Reference for ``maxent.quantile``: bisection on the public ``cdf``,
     which recomputes log Z at every step."""
     lo, hi = -1.0, 1.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if tv.cdf(lam, mid, quad) < alpha:
+        if tv.cdf(lam, mid) < alpha:
             lo = mid
         else:
             hi = mid
@@ -113,7 +113,7 @@ def quantile_by_cdf(lam, alpha: float, quad=None) -> float:
 def sample_searchsorted(lam, count: int, seed: int) -> np.ndarray:
     """Reference for ``maxent.sample``: the CDF table inverted by
     ``searchsorted`` and a hand-written linear interpolation."""
-    xs, cg = tv.maxent._cdf_grid(tv.maxent.validate_lambda(lam), tv.gauss_legendre())
+    xs, cg = tv.maxent._cdf_grid(tv.maxent.validate_lambda(lam))
     u = np.random.default_rng(seed).random(count)
     idx = np.clip(np.searchsorted(cg, u, side="right"), 1, len(xs) - 1)
     c0, c1 = cg[idx - 1], cg[idx]

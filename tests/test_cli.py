@@ -82,7 +82,7 @@ class TestModelFile:
         case = gen_two_regime_gaussian(4.0, T=200, switch_period=50, seed=3)
         scaled, scaling = rescale(case.panel)
         config = ModelConfig(k=2, c_gamma=2.0, c_lambda=(5.0, 7.5), m=3, n_anneal=1,
-                             quad_order=120, tol_outer=1e-5, max_outer_iter=50,
+                             tol_outer=1e-5, max_outer_iter=50,
                              seed=4, eps_sparse=1e-4, tol_lambda=1e-9,
                              max_lambda_iter=77)
         result = anneal(scaled.values, config)
@@ -96,6 +96,24 @@ class TestModelFile:
         del obj["config"]["tol_lambda"], obj["config"]["max_lambda_iter"]
         config = obj_to_model(obj)[0].config
         assert (config.tol_lambda, config.max_lambda_iter) == (1e-7, 5000)
+
+    def test_older_file_with_the_200_node_rule_loads(self, small_model):
+        obj = json.loads(small_model.read_text())
+        obj["config"]["quad_order"] = 200
+        loaded = obj_to_model(obj)
+        assert dumps_canonical(model_to_obj(*loaded)) == small_model.read_text()
+
+    def test_older_file_with_another_rule_rejected(self, small_model, tmp_path, capsys):
+        # its lambda and log Z came from a rule this version does not have
+        obj = json.loads(small_model.read_text())
+        obj["config"]["quad_order"] = 120
+        path = tmp_path / "old.json"
+        path.write_text(dumps_canonical(obj))
+        with pytest.raises(ValueError, match="120-node"):
+            load_model(str(path))
+        assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_rle_matches_loop_encoder(self):
         rng = np.random.default_rng(11)
@@ -250,7 +268,6 @@ class TestFitCommand:
     ["fit", "{csv}", "--m", "13"],
     ["fit", "{csv}", "--cgamma", "-1"],
     ["fit", "{csv}", "--anneal", "0"],
-    ["fit", "{csv}", "--quad-order", "1"],
     ["simulate", "--model", "{model}", "--n-samples", "0"],
     ["grid", "{csv}", "--kmax", "0"],
     ["var", "{csv}", "--train-split", "300", "--model", "{model}", "--alpha", "1.5"],
@@ -261,6 +278,9 @@ class TestFitCommand:
     ["grid", "{csv}", "--jobs", "0"],
     ["fit", "{csv}", "--clambda", "nan"],
     ["var", "{csv}", "--train-split", "400", "--model", "{model}"],
+    ["gen-synthetic", "--switch-period", "0"],
+    ["graph", "--models", "{model}", "--lag-max", "-1"],
+    ["acf", "{csv}", "--max-lag", "0"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
     argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]
@@ -292,6 +312,13 @@ class TestGridCommand:
                   "--cgamma-max", "1", "--m", "4", "--anneal", "1",
                   "--stage2-points", "0", "-o", str(tmp_path / "g.json"),
                   "--output-csv", str(tmp_path / "g.csv")])
+        assert exc.value.code == 2
+
+    def test_quad_order_flag_rejected(self, synthetic_csv, tmp_path):
+        # one fixed quadrature rule: there is no order to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(synthetic_csv), "--quad-order", "200", "--k", "1",
+                  "--anneal", "1", "-o", str(tmp_path / "m.json")])
         assert exc.value.code == 2
 
     def test_model_output_is_the_chosen_model(self, synthetic_csv, tmp_path):

@@ -43,7 +43,7 @@ def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
     {"tol_lambda": 0.0},
     {"tol_outer": -1.0},
     {"eps_sparse": -1.0},
-    {"quad_order": 1},
+    {"c_gamma": math.inf},
     {"c_lambda": math.nan},
     {"c_lambda": -1.0},
     {"c_lambda": (1.0, 2.0, 3.0)},

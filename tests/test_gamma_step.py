@@ -174,8 +174,17 @@ class TestSolveGamma:
         with pytest.raises(ValueError):
             solve_gamma(np.zeros((2, 3, 1)), -1.0)
 
+    def test_rejects_nan_budget(self):
+        # a NaN budget passed every comparison and let regimes switch freely
+        with pytest.raises(ValueError, match="c_gamma"):
+            solve_gamma(np.zeros((2, 3, 1)), math.nan)
+
 
 class TestAffiliationSolver:
+    def test_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="c_gamma"):
+            AffiliationSolver(2, 3, 1, math.nan)
+
     def test_reused_solver_matches_enumeration(self):
         # one LP session re-solved with changing scores, as in the outer fit
         rng = np.random.default_rng(5)
