@@ -24,7 +24,6 @@ from .diagnostics import (
     variance_path,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateDimension,
     DegenerateSeries,
     DomainError,

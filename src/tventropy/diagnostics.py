@@ -123,6 +123,8 @@ def acf_abs(x, d: float = 1.0, max_lag: int = 50) -> np.ndarray:
     if not 1 <= max_lag < T:
         raise ValueError(f"max_lag must be >= 1 and below the series length {T}, "
                          f"got {max_lag}")
+    if not d >= 0:          # NaN included; d = 0 fails the constant-series test below
+        raise ValueError(f"d must be positive, got {d}")
     y = np.abs(x) ** d
     yc = y - y.mean(axis=-1, keepdims=True)
     denom = np.einsum("...t,...t->...", yc, yc)
@@ -148,6 +150,8 @@ def acf_bands(rho, T: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _simulate_dim(fit_result: FitResult, i: int, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, T) scaled draws along dimension i's fitted hard regime path."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     hard = fit_result.hard_path()[:, i]
     sims = np.empty((n_samples, hard.size))
     for k in range(fit_result.k):
@@ -292,12 +296,13 @@ def transition_graph(jumps: dict[str, tuple[np.ndarray, np.ndarray]],
     edge is kept at the lag minimising the p-value when that minimum is at or
     below the threshold.
     """
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     names = tuple(jumps.keys())
     lengths = {name: jumps[name][0].size for name in names}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"jump series must share one length, got {lengths}")
+    T = min(lengths.values(), default=math.inf)     # no series: no table to test
+    if not 0 <= max_lag < T:
+        raise ValueError(f"max_lag must be >= 0 and below the series length {T}, got {max_lag}")
     edges: list[GraphEdge] = []
     directions = [("up", 0), ("down", 1)]
     for src, tgt in itertools.permutations(names, 2):

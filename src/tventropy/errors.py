@@ -29,10 +29,6 @@ class DomainError(TvEntropyError):
     """Argument outside the supported domain (e.g. x not in [-1, 1])."""
 
 
-class ConvergenceError(TvEntropyError):
-    """Iterative routine failed to converge within its iteration budget."""
-
-
 class EmptyRegime(TvEntropyError):
     """A regime received zero total weight; the caller must skip or freeze it."""
 

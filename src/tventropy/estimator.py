@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gamma_step import AffiliationSolver, build_scores
-from .lambda_step import (DEFAULT_MAX_ITER, DEFAULT_TOL, feature_matrix, fit_lambda,
-                          project_l1_ball, sparsify)
+from .lambda_step import DEFAULT_TOL, feature_matrix, fit_lambda, project_l1_ball, sparsify
 from .maxent import MAX_ORDER, log_partition
 from .panel import Panel
 
@@ -40,27 +39,22 @@ class ModelConfig:
     c_lambda: tuple | float = math.inf   # l1 bound(s); scalar broadcasts over regimes
     m: int = 6                      # moment order
     n_anneal: int = 10
-    tol_outer: float = 1e-6
-    max_outer_iter: int = 200
     seed: int = 0
     eps_sparse: float = 1e-5
     tol_lambda: float = DEFAULT_TOL
-    max_lambda_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one regime")
         if not 1 <= self.m <= MAX_ORDER:
             raise ValueError(f"moment order must be in 1..{MAX_ORDER}")
-        if min(self.n_anneal, self.max_outer_iter, self.max_lambda_iter) < 1:
-            raise ValueError("n_anneal, max_outer_iter and max_lambda_iter must be >= 1")
+        if self.n_anneal < 1:
+            raise ValueError("n_anneal must be >= 1")
         if math.isinf(self.c_gamma):
             raise ValueError("c_gamma must be finite; a budget of (T-1)n already leaves "
                              "switching free")
-        if not (self.c_gamma >= 0 and self.tol_outer >= 0 and self.eps_sparse >= 0
-                and self.tol_lambda > 0):
-            raise ValueError("c_gamma, tol_outer and eps_sparse must be nonnegative, "
-                             "tol_lambda positive")
+        if not (self.c_gamma >= 0 and self.eps_sparse >= 0 and self.tol_lambda > 0):
+            raise ValueError("c_gamma and eps_sparse must be nonnegative, tol_lambda positive")
         self.c_lambda_per_regime()
 
     def c_lambda_per_regime(self) -> np.ndarray:
@@ -147,6 +141,10 @@ def random_block_gamma(k: int, T: int, n: int, c_gamma: float, seed) -> np.ndarr
     return gamma
 
 
+TOL_OUTER = 1e-6
+MAX_OUTER_ITER = 200
+
+
 def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         lambda0: np.ndarray | None = None) -> FitResult:
     """Alternate the regime and affiliation subproblems until the objective
@@ -155,9 +153,10 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     Regimes whose weight mass drops below a small floor (m + 2 points) are
     frozen for the iteration, mirroring the empty-regime rule; this keeps the
     likelihood bounded when the affiliation hands a regime only a sliver of
-    the data.  ``converged`` is False when the outer budget runs out, and
-    also when a regime subproblem of the last outer iteration ran out of
-    iterations.
+    the data.  It stops when nothing moves or the objective changes by less
+    than ``TOL_OUTER`` (1e-6) relative.  ``converged`` is False when that
+    takes over ``MAX_OUTER_ITER`` (200) outer iterations, or when a regime
+    subproblem of the last one hit ``lambda_step.DEFAULT_MAX_ITER`` (5000).
     """
     values = _as_values(panel)
     T, n = values.shape
@@ -187,7 +186,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     L_prev = -np.inf
     converged = False
     lambda_unconverged = 0
-    for _ in range(config.max_outer_iter):
+    for _ in range(MAX_OUTER_ITER):
         lam_moved = 0.0
         stalled = 0                           # lambda subproblems out of iterations
         for k in range(K):
@@ -195,7 +194,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
             if w.sum() < mass_floor:
                 continue                      # frozen for this iteration
             res = fit_lambda(F, w, c_lambda=c_lam[k], tol=config.tol_lambda,
-                             max_iter=config.max_lambda_iter, warm_start=lambdas[k])
+                             warm_start=lambdas[k])
             stalled += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
             # guard against float-order regressions of the shared objective
@@ -212,7 +211,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
         L = float((gamma * scores).sum())
         trace.append(L)
         if (moved < 1e-12 and lam_moved < 1e-12) or (
-                abs(L - L_prev) < config.tol_outer * (1.0 + abs(L))):
+                abs(L - L_prev) < TOL_OUTER * (1.0 + abs(L))):
             converged = stalled == 0
             break
         L_prev = L

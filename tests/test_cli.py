@@ -82,9 +82,7 @@ class TestModelFile:
         case = gen_two_regime_gaussian(4.0, T=200, switch_period=50, seed=3)
         scaled, scaling = rescale(case.panel)
         config = ModelConfig(k=2, c_gamma=2.0, c_lambda=(5.0, 7.5), m=3, n_anneal=1,
-                             tol_outer=1e-5, max_outer_iter=50,
-                             seed=4, eps_sparse=1e-4, tol_lambda=1e-9,
-                             max_lambda_iter=77)
+                             seed=4, eps_sparse=1e-4, tol_lambda=1e-9)
         result = anneal(scaled.values, config)
         path = tmp_path / "m.json"
         save_model(str(path), result, scaling)
@@ -93,9 +91,17 @@ class TestModelFile:
 
     def test_older_file_without_lambda_settings_loads_defaults(self, small_model):
         obj = json.loads(small_model.read_text())
-        del obj["config"]["tol_lambda"], obj["config"]["max_lambda_iter"]
+        del obj["config"]["tol_lambda"]
         config = obj_to_model(obj)[0].config
-        assert (config.tol_lambda, config.max_lambda_iter) == (1e-7, 5000)
+        assert config.tol_lambda == 1e-7
+
+    def test_older_file_with_fit_stopping_settings_loads(self, small_model):
+        # the stopping settings are constants of fit now; they do not change
+        # what a saved model means, so a file that carries them still loads
+        obj = json.loads(small_model.read_text())
+        obj["config"].update(tol_outer=1e-3, max_outer_iter=7, max_lambda_iter=77)
+        loaded = obj_to_model(obj)
+        assert dumps_canonical(model_to_obj(*loaded)) == small_model.read_text()
 
     def test_older_file_with_the_200_node_rule_loads(self, small_model):
         obj = json.loads(small_model.read_text())
@@ -186,7 +192,7 @@ class TestModelFile:
 
     def test_setting_fit_cannot_run_rejected(self, small_model, tmp_path, capsys):
         obj = json.loads(small_model.read_text())
-        obj["config"]["max_outer_iter"] = 0
+        obj["config"]["n_anneal"] = 0
         path = tmp_path / "bad.json"
         path.write_text(dumps_canonical(obj))
         assert main(["simulate", "--model", str(path), "-o", str(tmp_path / "s.csv")]) == 1
@@ -281,6 +287,8 @@ class TestFitCommand:
     ["gen-synthetic", "--switch-period", "0"],
     ["graph", "--models", "{model}", "--lag-max", "-1"],
     ["acf", "{csv}", "--max-lag", "0"],
+    ["acf", "{csv}", "--d", "-1"],
+    ["graph", "--models", "{model}", "--lag-max", "400"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
     argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]

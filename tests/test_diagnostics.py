@@ -166,6 +166,13 @@ class TestAcf:
         with pytest.raises(DegenerateSeries):
             acf_abs(rng.standard_normal(100), d=0.0, max_lag=5)
 
+    @pytest.mark.parametrize("d", [-1.0, math.nan])
+    def test_nonpositive_d_rejected(self, d):
+        x = np.random.default_rng(13).standard_normal(100)
+        x[7] = 0.0                      # |0|^d is infinite for d < 0
+        with pytest.raises(ValueError, match="d must be positive"):
+            acf_abs(x, d=d, max_lag=5)
+
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(14)
         X = rng.standard_t(4, size=(6, 300))
@@ -220,6 +227,12 @@ class TestSimulatedAcf:
         with pytest.raises(ValueError, match="max_lag"):
             simulated_acf(fit_result, n_samples=5, max_lag=max_lag)
 
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_no_samples_rejected(self, n_samples):
+        fit_result = make_fit([[0.0, 3.0, 0, 0, 0, 0]], T=30)
+        with pytest.raises(ValueError, match="n_samples"):
+            simulated_acf(fit_result, n_samples=n_samples, max_lag=5)
+
 
 class TestSimulatePanels:
     def test_shape_and_determinism(self):
@@ -235,6 +248,12 @@ class TestSimulatePanels:
         scaling = ScalingMap(a=np.array([0.1]), b=np.array([0.0]))
         sims = simulate_panels(fit_result, scaling, n_samples=5, seed=5)
         assert np.abs(sims).max() > 1.5      # scaled-back uniform spans [-10, 10]
+
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_no_samples_rejected(self, n_samples):
+        fit_result = make_fit([np.zeros(6)], T=50)
+        with pytest.raises(ValueError, match="n_samples"):
+            simulate_panels(fit_result, None, n_samples=n_samples)
 
 
 class TestJumpSeries:
@@ -307,6 +326,15 @@ class TestTransitionGraph:
     def test_single_asset_empty(self):
         graph = transition_graph({"a": (np.zeros(10, int), np.zeros(10, int))})
         assert graph.edges == []
+
+    @pytest.mark.parametrize("max_lag", [-1, 10, 11])
+    def test_lag_outside_series_rejected(self, max_lag):
+        jumps = {name: (np.zeros(10, int), np.zeros(10, int)) for name in "ab"}
+        assert transition_graph(jumps, max_lag=9).edges == []
+        # one asset has no pair to test, and is rejected all the same
+        for assets in (jumps, {"a": jumps["a"]}):
+            with pytest.raises(ValueError, match="max_lag"):
+                transition_graph(assets, max_lag=max_lag)
 
     def test_shifted_jump_series_detected(self):
         rng = np.random.default_rng(16)

@@ -3,6 +3,7 @@
 import inspect
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tventropy import (
     schwarz_weights,
     tv_norm,
 )
-from tventropy.estimator import random_block_gamma
+from tventropy.estimator import MAX_OUTER_ITER, random_block_gamma
 
 from tests.helpers import log_integral_converged, random_block_gamma_loop
 from tests.test_maxent import simpson_log_integral
@@ -38,10 +39,7 @@ def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
 
 
 @pytest.mark.parametrize("setting", [
-    {"max_outer_iter": 0},
-    {"max_lambda_iter": 0},
     {"tol_lambda": 0.0},
-    {"tol_outer": -1.0},
     {"eps_sparse": -1.0},
     {"c_gamma": math.inf},
     {"c_lambda": math.nan},
@@ -51,6 +49,12 @@ def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
 def test_model_config_rejects_settings_fit_cannot_run(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
         ModelConfig(**setting)
+
+
+@pytest.mark.parametrize("name", ["tol_outer", "max_outer_iter", "max_lambda_iter"])
+def test_fit_stopping_rule_is_not_a_setting(name):
+    with pytest.raises(TypeError, match=name):
+        ModelConfig(**{name: 1})
 
 
 class TestComposeLambda:
@@ -143,14 +147,15 @@ class TestFit:
         assert (result.lp_solves, result.simplex_iterations) == (0, 0)
         assert result.shortcut_hits == result.n_outer    # every K=1 solve
 
-    def test_reports_unconverged_lambda_steps(self):
+    def test_reports_unconverged_lambda_steps(self, monkeypatch):
         values, _, _ = scaled_synthetic(seed=1)
         result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4))
         assert result.lambda_unconverged == 0 and result.converged
-        result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4, max_lambda_iter=1))
+        monkeypatch.setattr("tventropy.estimator.fit_lambda", partial(fit_lambda, max_iter=1))
+        result = fit(values, ModelConfig(k=2, c_gamma=3.0, m=4))
         assert result.lambda_unconverged > 0
         # the outer test passed, but its last lambda subproblems did not converge
-        assert result.n_outer < result.config.max_outer_iter
+        assert result.n_outer < MAX_OUTER_ITER
         assert not result.converged
 
     def test_gamma0_shape_checked(self):
