@@ -152,6 +152,9 @@ def _simulate_dim(fit_result: FitResult, i: int, n_samples: int, seed: int) -> n
     """(n_samples, T) scaled draws along dimension i's fitted hard regime path."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n = fit_result.shape[1]
+    if not 0 <= i < n:
+        raise ValueError(f"dimension i must be in 0..{n - 1} for this model, got {i}")
     hard = fit_result.hard_path()[:, i]
     sims = np.empty((n_samples, hard.size))
     for k in range(fit_result.k):

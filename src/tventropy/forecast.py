@@ -20,6 +20,8 @@ def assign_regime_online(fit_result: FitResult, x_new: float, i: int = 0,
     to the lowest index.  ``switch_penalty`` (log-density units) is
     subtracted from every regime other than ``k_prev`` to add persistence.
     """
+    if not np.isfinite(x_new):
+        raise ValueError(f"observation must be finite, got {x_new}")
     x = float(np.clip(x_new, -1.0, 1.0))
     K, m = fit_result.lambdas.shape
     powers = x ** np.arange(1, m + 1)
@@ -112,6 +114,11 @@ def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
     t_out, n = out.shape
     if t_out < 1:
         raise ValueError("out-of-sample panel is empty")
+    if n != fit_result.shape[1]:
+        raise ValueError(f"out-of-sample panel has {n} column(s) but the model has "
+                         f"{fit_result.shape[1]}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("out-of-sample panel must be finite")
     alphas = tuple(float(a) for a in alphas)
     labels = tuple(labels) if labels else tuple(f"x{i + 1}" for i in range(n))
 
@@ -123,12 +130,12 @@ def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
                 thresholds[k, i, j] = var_forecast(fit_result, k, alpha, scaling, i)
 
     violations = np.zeros((n, len(alphas)), dtype=int)
+    scaled = scaling.apply(out, clip=True)
     for i in range(n):
         k_cur = int(fit_result.gamma[:, -1, i].argmax())
-        scaled = scaling.apply(out[:, i], clip=True)
         for t in range(t_out):
             violations[i] += out[t, i] < -thresholds[k_cur, i]
-            k_cur = assign_regime_online(fit_result, scaled[t], i, k_cur,
+            k_cur = assign_regime_online(fit_result, scaled[t, i], i, k_cur,
                                          switch_penalty=switch_penalty)
 
     coverage = violations / t_out

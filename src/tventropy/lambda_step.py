@@ -6,16 +6,16 @@ For one regime with point weights w >= 0 over the scaled panel, the objective
            = -(lam . S + W ln Z),   S_j = sum w x^j,  W = sum w,
 
 is concave in lam (ln Z is a log-partition).  ``fit_lambda`` maximises it
-subject to |lam|_1 <= c_lambda with a projected ascent scheme.  When the
-full Newton point lies in the l1 ball, a damped Newton step backtracks along
-the Newton direction to the first candidate that passes an Armijo test (the
-ball is convex, so every candidate lies in it).  Otherwise, or when no
-candidate passes, a backtracking projected-gradient step, which owns the
-boundary, is taken.  The damping matters for high moment orders, whose
-monomial covariance is badly conditioned: from a far start the full step
-overshoots, and plain gradient ascent crawls.  Every accepted step improves
-the objective, so the iterate trace is monotone.  An infinite ``c_lambda``
-runs the same code: the ball test always passes and projecting is a copy.
+subject to |lam|_1 <= c_lambda with a projected ascent scheme: one Armijo
+backtracking search over one of two step paths.  When the full Newton point
+lies in the l1 ball, the path is the damped Newton step (the ball is convex,
+so every candidate lies in it).  Otherwise, or when no Newton candidate
+passes, it is the projected-gradient step, which owns the boundary.  The
+damping matters for high moment orders, whose monomial covariance is badly
+conditioned: from a far start the full step overshoots, and plain gradient
+ascent crawls.  Every accepted step improves the objective, so the iterate
+trace is monotone.  An infinite ``c_lambda`` runs the same code: the ball
+test always passes and projecting is a copy.
 
 log Z and the moments, and so the Newton system's monomial covariance, come
 from the density engine's one kernel, :func:`.maxent.log_z_and_moments`,
@@ -113,16 +113,30 @@ class LambdaFit:
     objective: float
 
 
+def _armijo_search(path, t: float, tries: int, h: float, mu_hat: np.ndarray, j_max: int):
+    """The first of path(t), path(t/2), ... (at most ``tries``), each a
+    (candidate, gain) pair, with h_new >= h + 1e-4 gain and h_new >= h, as
+    (t, candidate, log Z, moments, h_new); None when every try fails."""
+    for _ in range(tries):
+        cand, gain = path(t)
+        log_z, mom = log_z_and_moments(cand, j_max)
+        h_new = -(cand @ mu_hat + log_z)
+        if h_new >= h + 1e-4 * gain and h_new >= h:
+            return t, cand, log_z, mom, h_new
+        t *= 0.5
+    return None
+
+
 def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                warm_start=None) -> LambdaFit:
     """Maximise the weighted log-likelihood subject to |lam|_1 <= c_lambda.
 
-    When the full Newton point lam + d lies in the l1 ball, each iteration
-    tries the steps t = 1, 1/2, 1/4, ... along d and accepts the first
-    candidate lam + t d with h_new >= h + 1e-4 t (g . d) and h_new >= h.
-    When the full point leaves the ball, or every candidate fails, it takes
-    a backtracking projected-gradient step instead.
+    Each iteration backtracks from a first step t, halving it, to the first
+    candidate with h_new >= h + 1e-4 gain and h_new >= h: lam + t d with gain
+    t (g . d) from t = 1 when the full Newton point lam + d lies in the l1
+    ball; otherwise, or when no Newton candidate passes, P(lam + t g) with
+    gain g . (P(lam + t g) - lam) from twice the last accepted such t.
 
     Raises EmptyRegime when the weights carry no mass.  If the iteration
     budget runs out the best iterate is returned with ``converged=False``
@@ -157,7 +171,6 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             converged = True
             break
 
-        accepted = False
         # Newton candidate: Hessian of ln Z is the monomial covariance matrix
         idx = np.arange(m)
         H = mom[idx[:, None] + idx[None, :] + 1] - np.outer(mom[:m], mom[:m])
@@ -165,38 +178,22 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
             d = np.linalg.solve(H + 1e-13 * np.eye(m), g)
         except np.linalg.LinAlgError:
             d = np.full(m, np.nan)
+        found = None
         if np.all(np.isfinite(d)) and g @ d > 0 and np.abs(lam + d).sum() <= c_lambda:
             # damped Newton; the ball is convex, so every lam + t d (t <= 1) is in it
-            t = 1.0
-            for _ in range(30):
-                cand = lam + t * d
-                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
-                h_n = -(cand @ mu_hat + lz_n)
-                if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
-                    lam, log_z, mom, h = cand, lz_n, mom_n, h_n
-                    trace.append(W * h)
-                    accepted = True
-                    break
-                t *= 0.5
-
-        if not accepted:
-            t = step
-            for _ in range(60):
+            found = _armijo_search(lambda t: (lam + t * d, t * (g @ d)), 1.0, 30, h, mu_hat, 2 * m)
+        if found is None:
+            def gradient_path(t):
                 cand = project_l1_ball(lam + t * g, c_lambda)
-                delta = cand - lam
-                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
-                h_n = -(cand @ mu_hat + lz_n)
-                if h_n >= h + 1e-4 * (g @ delta) and h_n >= h:
-                    lam, log_z, mom, h = cand, lz_n, mom_n, h_n
-                    trace.append(W * h)
-                    accepted = True
-                    step = min(t * 2.0, 1e6)
-                    break
-                t *= 0.5
-            if not accepted:
+                return cand, g @ (cand - lam)
+            found = _armijo_search(gradient_path, step, 60, h, mu_hat, 2 * m)
+            if found is None:
                 # no improving step at float resolution: treat as stationary
                 converged = True
                 break
+            step = min(found[0] * 2.0, 1e6)
+        _, lam, log_z, mom, h = found
+        trace.append(W * h)
 
     return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it,
                      trace=trace, objective=W * h)

@@ -96,7 +96,7 @@ def density(lam, x):
     """Density values at x (scalar or array); x must lie in [-1, 1]."""
     lam = validate_lambda(lam)
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1.0) or np.any(x > 1.0):
+    if not np.all((-1.0 <= x) & (x <= 1.0)):
         raise DomainError("density evaluated outside [-1, 1]")
     out = np.exp(_neg_poly(lam, x) - log_partition(lam))
     return float(out) if x.ndim == 0 else out
@@ -115,7 +115,7 @@ def cdf(lam, x) -> float:
     """P(X <= x), computed by mapping the quadrature rule onto [-1, x]."""
     lam = validate_lambda(lam)
     x = float(x)
-    if x < -1.0 or x > 1.0:
+    if not -1.0 <= x <= 1.0:
         raise DomainError("cdf argument outside [-1, 1]")
     if x == -1.0:
         return 0.0

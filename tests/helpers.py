@@ -243,3 +243,80 @@ def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     lower = np.concatenate([np.zeros(m), np.full(n_simplex + B, -np.inf)])
     upper = np.concatenate([np.zeros(m), np.ones(n_simplex), np.full(B, float(c_gamma))])
     return sp.vstack(rows, format="csc"), lower, upper
+
+
+def fit_lambda_two_loops(features: np.ndarray, w, c_lambda: float = np.inf,
+                         tol: float = 1e-7, max_iter: int = 5000, warm_start=None):
+    """Reference for ``lambda_step.fit_lambda``: the damped-Newton search and
+    the projected-gradient search written as two loops, each with its own
+    candidate evaluation, Armijo test, state update and trace append."""
+    from tventropy.errors import EmptyRegime
+    from tventropy.lambda_step import LambdaFit, _weighted_sums, project_l1_ball
+    from tventropy.maxent import log_z_and_moments, validate_lambda
+
+    m = features.shape[2]
+    lam = np.zeros(m) if warm_start is None else validate_lambda(warm_start)
+    S, W = _weighted_sums(features, w, lam)
+    if W <= 0:
+        raise EmptyRegime("cannot fit a regime with zero total weight")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mu_hat = S / W
+    lam = project_l1_ball(lam, c_lambda)
+
+    log_z, mom = log_z_and_moments(lam, 2 * m)
+    h = -(lam @ mu_hat + log_z)
+    trace = [W * h]
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        g = mom[:m] - mu_hat
+        if np.abs(lam).sum() < c_lambda - tol:
+            resid = g
+        else:
+            resid = project_l1_ball(lam + g, c_lambda) - lam
+        if np.abs(resid).max() <= tol:
+            converged = True
+            break
+
+        accepted = False
+        idx = np.arange(m)
+        H = mom[idx[:, None] + idx[None, :] + 1] - np.outer(mom[:m], mom[:m])
+        try:
+            d = np.linalg.solve(H + 1e-13 * np.eye(m), g)
+        except np.linalg.LinAlgError:
+            d = np.full(m, np.nan)
+        if np.all(np.isfinite(d)) and g @ d > 0 and np.abs(lam + d).sum() <= c_lambda:
+            t = 1.0
+            for _ in range(30):
+                cand = lam + t * d
+                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
+                h_n = -(cand @ mu_hat + lz_n)
+                if h_n >= h + 1e-4 * t * (g @ d) and h_n >= h:
+                    lam, log_z, mom, h = cand, lz_n, mom_n, h_n
+                    trace.append(W * h)
+                    accepted = True
+                    break
+                t *= 0.5
+
+        if not accepted:
+            t = step
+            for _ in range(60):
+                cand = project_l1_ball(lam + t * g, c_lambda)
+                delta = cand - lam
+                lz_n, mom_n = log_z_and_moments(cand, 2 * m)
+                h_n = -(cand @ mu_hat + lz_n)
+                if h_n >= h + 1e-4 * (g @ delta) and h_n >= h:
+                    lam, log_z, mom, h = cand, lz_n, mom_n, h_n
+                    trace.append(W * h)
+                    accepted = True
+                    step = min(t * 2.0, 1e6)
+                    break
+                t *= 0.5
+            if not accepted:
+                converged = True
+                break
+
+    return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it,
+                     trace=trace, objective=W * h)

@@ -38,6 +38,14 @@ def synthetic_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def two_column_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "two.csv"
+    x = np.random.default_rng(8).standard_normal((400, 2))
+    np.savetxt(path, x, delimiter=",")
+    return path
+
+
+@pytest.fixture(scope="module")
 def small_model(tmp_path_factory, synthetic_csv):
     path = tmp_path_factory.mktemp("model") / "model.json"
     rc = main(["fit", str(synthetic_csv), "--k", "2", "--cgamma", "3",
@@ -289,9 +297,12 @@ class TestFitCommand:
     ["acf", "{csv}", "--max-lag", "0"],
     ["acf", "{csv}", "--d", "-1"],
     ["graph", "--models", "{model}", "--lag-max", "400"],
+    ["acf", "{two}", "--dim", "1", "--model", "{model}"],
+    ["var", "{two}", "--train-split", "200", "--model", "{model}"],
 ])
-def test_bad_input_gives_one_line_error(argv, synthetic_csv, small_model, tmp_path, capsys):
-    argv = [a.format(csv=synthetic_csv, model=small_model) for a in argv]
+def test_bad_input_gives_one_line_error(argv, synthetic_csv, two_column_csv, small_model,
+                                        tmp_path, capsys):
+    argv = [a.format(csv=synthetic_csv, two=two_column_csv, model=small_model) for a in argv]
     rc = main(argv + ["-o", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err

@@ -233,6 +233,12 @@ class TestSimulatedAcf:
         with pytest.raises(ValueError, match="n_samples"):
             simulated_acf(fit_result, n_samples=n_samples, max_lag=5)
 
+    @pytest.mark.parametrize("i", [1, -1])
+    def test_dimension_outside_model_rejected(self, i):
+        fit_result = make_fit([[0.0, 3.0, 0, 0, 0, 0]], T=30)
+        with pytest.raises(ValueError, match=f"dimension i .*got {i}"):
+            simulated_acf(fit_result, n_samples=5, max_lag=5, i=i)
+
 
 class TestSimulatePanels:
     def test_shape_and_determinism(self):

@@ -85,6 +85,11 @@ class TestAssignRegimeOnline:
         fit = make_fit([[0.0, 1.0]])
         assert assign_regime_online(fit, 3.7) == 0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_observation_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            assign_regime_online(make_fit([[0.0, 1.0], [0.0, 5.0]]), x)
+
 
 class TestVarForecast:
     def test_uniform_regime(self):
@@ -192,6 +197,31 @@ class TestBacktest:
     def test_empty_series_rejected(self, shape):
         with pytest.raises(ValueError, match="empty"):
             backtest(make_fit([[0.0, 2.0]]), IDENTITY, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_return_rejected(self, bad):
+        returns = np.full((20, 1), 0.1)
+        returns[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            backtest(make_fit([[0.0, 2.0], [0.0, 6.0]]), IDENTITY, returns)
+
+    def test_column_count_must_match_model(self):
+        with pytest.raises(ValueError, match="2 column.*model has 1"):
+            backtest(make_fit([[0.0, 2.0]]), IDENTITY, np.zeros((10, 2)))
+
+    def test_two_dimensional_panel(self):
+        # each column is scaled with its own map and tracked on its own
+        lam = [[0.0, 8.0, 0, 0], [0.0, 2.0, 0, 0]]
+        fit = make_fit(lam)
+        fit.gamma = np.repeat(fit.gamma, 2, axis=2)
+        scaling = ScalingMap(a=np.array([1.0, 0.5]), b=np.array([0.0, 0.1]))
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, size=(80, 2))
+        both = backtest(fit, scaling, x, alphas=(0.9,))
+        for i in range(2):
+            one = make_fit(lam)
+            one_map = ScalingMap(a=scaling.a[i:i + 1], b=scaling.b[i:i + 1])
+            alone = backtest(one, one_map, x[:, i], alphas=(0.9,))
+            np.testing.assert_array_equal(both.violations[i], alone.violations[0])
 
     def test_rows_iteration(self):
         fit = make_fit([np.zeros(4)])

@@ -18,6 +18,7 @@ from tventropy import (
     sparsify,
     weighted_loglik,
 )
+from tests.helpers import fit_lambda_two_loops
 
 LN2 = math.log(2.0)
 
@@ -256,6 +257,43 @@ class TestFitLambda:
                 resid = project_l1_ball(lam + g, c) - lam
             assert np.abs(resid).max() <= tol
         assert converged >= 35 and on_boundary >= 10
+
+    def test_matches_two_loop_reference(self, monkeypatch):
+        # one search over two step paths takes the same steps, bit for bit, as
+        # two loops with one path each; the problems reach all three branches
+        search, calls = lambda_step._armijo_search, []
+
+        def spy(path, t, tries, *args):
+            found = search(path, t, tries, *args)
+            calls.append((tries, found is not None))
+            return found
+
+        monkeypatch.setattr(lambda_step, "_armijo_search", spy)
+        rng = np.random.default_rng(23)
+        branches = set()
+        for trial in range(60):
+            m, T = int(rng.integers(2, 13)), int(rng.integers(50, 301))
+            x = np.clip(rng.standard_t(4, size=(T, 1)) * rng.uniform(0.05, 0.4), -1, 1)
+            w = rng.uniform(0, 1, size=(T, 1))
+            c = math.inf if trial % 4 < 2 else 10 ** rng.uniform(-0.5, 1.5)
+            warm = rng.normal(0, 10, size=m) if trial % 2 else None
+            F = feature_matrix(x, m)
+            calls.clear()
+            res = fit_lambda(F, w, c_lambda=c, warm_start=warm)
+            ref = fit_lambda_two_loops(F, w, c_lambda=c, warm_start=warm)
+            for field in ("lam", "log_z", "n_iter", "trace", "converged"):
+                assert np.array_equal(getattr(res, field), getattr(ref, field)), field
+            # 30 tries is the Newton path, 60 the projected-gradient path,
+            # which follows a failed Newton search in the same iteration
+            for before, (tries, ok) in zip([None] + calls, calls):
+                if tries == 30:
+                    branches.add("newton accepted" if ok else "newton rejected")
+                elif before == (30, False):
+                    branches.add("gradient after newton")
+                else:
+                    branches.add("gradient only")
+        assert branches == {"newton accepted", "newton rejected",
+                            "gradient after newton", "gradient only"}
 
     def test_empty_regime_raises(self):
         F = feature_matrix(np.array([[0.1], [0.2]]), 2)

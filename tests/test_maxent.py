@@ -86,8 +86,9 @@ class TestDensity:
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_outside_domain_rejected(self):
-        with pytest.raises(DomainError):
-            density(np.zeros(3), 1.5)
+        for x in (1.5, math.nan, [0.0, math.nan]):
+            with pytest.raises(DomainError):
+                density(np.zeros(3), x)
 
 
 class TestMoments:
@@ -136,6 +137,11 @@ class TestCdfQuantile:
         lam = np.array([1.0, -2.0, 0.5, 0, 0, 0])
         assert cdf(lam, -1.0) == 0.0
         assert cdf(lam, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [-1.5, 1.5, math.nan])
+    def test_cdf_outside_domain_rejected(self, x):
+        with pytest.raises(DomainError):
+            cdf(np.zeros(3), x)
 
     def test_cdf_monotone(self):
         lam = np.array([2.0, -1.0, 0.0, 3.0, 0, 0])
