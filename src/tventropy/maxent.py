@@ -11,12 +11,22 @@ zeroth coefficient.  Every integral over [-1, 1] uses one fixed rule, the
 built once at import.  One kernel, :func:`log_z_and_moments`, computes log Z
 and the moments over its nodes; the partition function, the moments, the
 entropy and the lambda step all call it.  Values away from the nodes
-(density, CDF, sampling grid) come from one integrand helper that evaluates
+(density, CDF, sampling table) come from one integrand helper that evaluates
 the polynomial by Horner's rule.  Every exponential is evaluated with a
 shift so the routines stay finite for any coefficient magnitude.
+
+``sample`` inverts a CDF table on a uniform grid of ``CDF_GRID_SIZE``
+points.  Each cell's mass comes from an 8-node Gauss-Legendre rule mapped
+onto the cell, and the table is their cumulative sum divided by the total,
+so it starts at 0, ends at 1 and never falls.  Against closed forms it is
+accurate to about 1e-14, down to densities about as narrow as one grid cell
+(4.9e-4).  A guide table of ``GUIDE_SIZE`` buckets of u finds each draw's
+cell; only draws in a bucket that holds a table knot are binary-searched.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -24,6 +34,7 @@ from .errors import DomainError
 
 MAX_ORDER = 12          # highest supported monomial degree
 CDF_GRID_SIZE = 4097    # points of the tabulated CDF that ``sample`` inverts
+GUIDE_SIZE = 2 ** 16    # buckets of u; a power of two keeps u * GUIDE_SIZE exact
 
 
 def _build_rule():
@@ -43,6 +54,7 @@ def _build_rule():
 
 
 NODES, WEIGHTS, NODE_POWERS = _build_rule()
+CELL_NODES, CELL_WEIGHTS = np.polynomial.legendre.leggauss(8)   # one CDF table cell
 
 
 def validate_lambda(lam) -> np.ndarray:
@@ -145,26 +157,65 @@ def quantile(lam, alpha: float) -> float:
 
 
 def _cdf_grid(lam: np.ndarray):
-    """CDF sampled on a uniform grid, for bulk inverse-CDF sampling."""
+    """The CDF on a uniform grid of ``CDF_GRID_SIZE`` points, for ``sample``.
+
+    Each cell's mass is the 8-node rule mapped onto the cell, with the
+    integrand shifted by its maximum over all cells; the table is the
+    cumulative sum of the masses from 0, divided by the total.  It thus
+    starts at exactly 0, ends at exactly 1 and never falls.  Its error
+    against closed forms is about 1e-14 down to densities about one cell
+    (4.9e-4) wide.
+    """
     xs = np.linspace(-1.0, 1.0, CDF_GRID_SIZE)
-    vals = _cdf_at(lam, log_partition(lam), xs)
-    vals[0], vals[-1] = 0.0, 1.0
-    return xs, np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+    s = _neg_poly(lam, xs[:-1, None] + (xs[1] - xs[0]) * 0.5 * (CELL_NODES + 1.0))
+    mass = np.exp(s - s.max()) @ CELL_WEIGHTS
+    cg = np.empty(CDF_GRID_SIZE)
+    cg[0] = 0.0
+    np.cumsum(mass, out=cg[1:])
+    cg /= cg[-1]
+    return xs, cg
+
+
+def _invert(xs: np.ndarray, cg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x with CDF(x) = u by linear interpolation in the table (xs, cg), in place on u.
+
+    Each u in [0, 1) lies in the cell [cg[i], cg[i+1]) with i the last knot
+    at or below u.  Bucket b of the guide table holds the u in
+    [b, b + 1) / GUIDE_SIZE; if no knot falls in it, i is the same for all
+    of its u and is read off the table, and the u of the other buckets are
+    binary-searched.  The interpolation runs in the order
+    x_i + (u - c_i) / (c_(i+1) - c_i) * (x_(i+1) - x_i).
+    """
+    edges = np.searchsorted(cg, np.arange(GUIDE_SIZE + 1) / GUIDE_SIZE, side="right")
+    bucket = (u * GUIDE_SIZE).astype(np.intp)
+    hit = np.flatnonzero((edges[1:] != edges[:-1])[bucket])
+    idx = edges[bucket] - 1
+    del bucket              # one array of count fewer at the peak of the gathers below
+    idx[hit] = np.searchsorted(cg, u[hit], side="right") - 1
+    u -= cg[idx]
+    u /= np.diff(cg)[idx]
+    u *= xs[1] - xs[0]      # every cell of the grid is 2 / (CDF_GRID_SIZE - 1) wide, exactly
+    u += xs[idx]
+    return u
+
+
+def _require_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def sample(lam, count: int, seed: int) -> np.ndarray:
-    """i.i.d. draws by inverse-CDF applied to seeded uniform variates.
+    """``count`` i.i.d. draws by inverse CDF applied to ``default_rng(seed).random(count)``.
 
-    The CDF is tabulated on a uniform grid of ``CDF_GRID_SIZE`` points over
-    [-1, 1] and inverted by linear interpolation with ``np.interp``.
+    ``count`` must be a positive and ``seed`` a nonnegative integer.  The
+    CDF table of :func:`_cdf_grid` is inverted by linear interpolation, with
+    a guide table finding each draw's cell (:func:`_invert`).
     """
     lam = validate_lambda(lam)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    xs, cg = _cdf_grid(lam)
-    return np.interp(u, cg, xs)
+    _require_integer("count", count, 1)
+    _require_integer("seed", seed, 0)
+    u = np.random.default_rng(seed).random(count)
+    return _invert(*_cdf_grid(lam), u)
 
 
 def entropy(lam) -> float:

@@ -114,7 +114,12 @@ def sample_searchsorted(lam, count: int, seed: int) -> np.ndarray:
     """Reference for ``maxent.sample``: the CDF table inverted by
     ``searchsorted`` and a hand-written linear interpolation."""
     xs, cg = tv.maxent._cdf_grid(tv.maxent.validate_lambda(lam))
-    u = np.random.default_rng(seed).random(count)
+    return invert_searchsorted(xs, cg, np.random.default_rng(seed).random(count))
+
+
+def invert_searchsorted(xs: np.ndarray, cg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reference for ``maxent._invert``: the table (xs, cg) inverted at u by
+    ``searchsorted`` and a hand-written linear interpolation."""
     idx = np.clip(np.searchsorted(cg, u, side="right"), 1, len(xs) - 1)
     c0, c1 = cg[idx - 1], cg[idx]
     x0, x1 = xs[idx - 1], xs[idx]

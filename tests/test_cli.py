@@ -384,6 +384,13 @@ class TestPipelineCommands:
         assert rows[0] == "sample,t,x1"
         assert len(rows) == 1 + 2 * 400
 
+    def test_simulate_negative_seed_names_seed(self, small_model, tmp_path, capsys):
+        rc = main(["simulate", "--model", str(small_model), "--seed", "-1",
+                   "-o", str(tmp_path / "sims.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
     def test_acf_command_iid_data(self, tmp_path):
         rng = np.random.default_rng(5)
         data = tmp_path / "iid.csv"

@@ -18,7 +18,7 @@ from tventropy import (
     quantile,
     sample,
 )
-from tests.helpers import quantile_by_cdf, sample_searchsorted
+from tests.helpers import invert_searchsorted, quantile_by_cdf, sample_searchsorted
 
 LN2 = math.log(2.0)
 
@@ -168,14 +168,61 @@ class TestCdfQuantile:
                 assert quantile(lam, alpha) == quantile_by_cdf(lam, alpha)
 
 
+class TestCdfTable:
+    @pytest.mark.parametrize("a", [1.0, 50.0, 2000.0, 2e4, 1e6])
+    def test_gaussian_segment_closed_form(self, a):
+        xs, cg = maxent._cdf_grid(np.array([0.0, a]))
+        r = math.sqrt(a)
+        exact = (erf(r * xs) + erf(r)) / (2.0 * erf(r))
+        np.testing.assert_allclose(cg, exact, rtol=0, atol=1e-13)
+
+    def test_starts_at_zero_ends_at_one_never_falls(self):
+        rng = np.random.default_rng(23)
+        for scale in (1.0, 30.0, 1e3):
+            for _ in range(20):
+                lam = rng.uniform(-scale, scale, size=int(rng.integers(1, 13)))
+                xs, cg = maxent._cdf_grid(lam)
+                assert xs.shape == cg.shape == (maxent.CDF_GRID_SIZE,)
+                assert cg[0] == 0.0 and cg[-1] == 1.0
+                assert np.all(np.diff(cg) >= 0.0)
+
+
+NARROW = ([0.0, 2e4], [0.0, 1e6], [0.0, 3e3, 0.0, 0.0, 0.0, 0.0], [-900.0, 450.0])
+
+
 class TestSample:
     def test_matches_searchsorted_interpolation(self):
         rng = np.random.default_rng(18)
-        for seed in range(10):
-            lam = rng.normal(0.0, 4.0, size=int(rng.integers(1, 9)))
-            np.testing.assert_allclose(sample(lam, 50_000, seed=seed),
-                                       sample_searchsorted(lam, 50_000, seed=seed),
-                                       rtol=0, atol=np.finfo(float).eps)
+        lams = [rng.normal(0.0, 4.0, size=int(rng.integers(1, 9))) for _ in range(10)]
+        for seed, lam in enumerate(lams + [np.array(v) for v in NARROW]):
+            np.testing.assert_array_equal(sample(lam, 50_000, seed=seed),
+                                          sample_searchsorted(lam, 50_000, seed=seed))
+
+    @pytest.mark.parametrize("lam", [[0.0, 5.0, 1.0], *NARROW])
+    def test_inversion_at_knots_and_bucket_edges(self, lam):
+        xs, cg = maxent._cdf_grid(np.array(lam))
+        edges = np.arange(maxent.GUIDE_SIZE) / maxent.GUIDE_SIZE
+        u = np.concatenate(([0.0, 1.0 - 2.0 ** -53], cg[cg < 1.0], edges))
+        np.testing.assert_array_equal(maxent._invert(xs, cg, u.copy()),
+                                      invert_searchsorted(xs, cg, u))
+
+    def test_narrow_density_variance(self):
+        draws = sample([0.0, 2e4, 0, 0, 0, 0], 200_000, seed=4)
+        assert np.var(draws) == pytest.approx(1.0 / 4e4, rel=0.02)
+
+    @pytest.mark.parametrize("count", [2.5, 0, -3, True, None])
+    def test_bad_count_named(self, count):
+        with pytest.raises(ValueError, match="count"):
+            sample([0.0, 1.0], count, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample([0.0, 1.0], 10, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        np.testing.assert_array_equal(sample([0.0, 1.0], np.int64(10), seed=np.uint32(3)),
+                                      sample([0.0, 1.0], 10, seed=3))
 
     def test_uniform_law(self):
         draws = sample(np.zeros(6), 100_000, seed=5)
