@@ -12,12 +12,13 @@ from .maxent import quantile
 from .panel import ScalingMap
 
 
-def assign_regime_online(fit_result: FitResult, x_new: float, i: int = 0,
-                         k_prev: int = 0, switch_penalty: float = 0.0) -> int:
-    """Most likely regime for one new scaled observation.
+def assign_regime_online(fit_result: FitResult, x_new: float, k_prev: int = 0,
+                         switch_penalty: float = 0.0) -> int:
+    """Most likely regime for one new scaled observation, in any dimension.
 
-    Pure per-point maximum likelihood; ties go to the previous regime, then
-    to the lowest index.  ``switch_penalty`` (log-density units) is
+    Pure per-point maximum likelihood under the regime coefficients, which
+    every dimension shares; ties go to the previous regime, then to the
+    lowest index.  ``switch_penalty`` (log-density units) is
     subtracted from every regime other than ``k_prev`` to add persistence.
     """
     if not np.isfinite(x_new):
@@ -39,10 +40,15 @@ def var_forecast(fit_result: FitResult, k: int, alpha: float,
     """Value-at-Risk at coverage ``alpha`` under regime k, in return units.
 
     The left-tail quantile at level 1 - alpha is mapped back through the
-    inverse scaling; a violation at t+1 means return_{t+1} < -VaR.
+    inverse scaling; a violation at t+1 means return_{t+1} < -VaR.  ``k``
+    must index a regime and ``i`` a dimension of the scaling.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if not 0 <= k < fit_result.k:
+        raise ValueError(f"regime k must be in 0..{fit_result.k - 1}, got {k}")
+    if not 0 <= i < scaling.a.size:
+        raise ValueError(f"dimension i must be in 0..{scaling.a.size - 1}, got {i}")
     q_scaled = quantile(fit_result.lambdas[k], 1.0 - alpha)
     q_return = (q_scaled - scaling.b[i]) / scaling.a[i]
     return -q_return
@@ -135,7 +141,7 @@ def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
         k_cur = int(fit_result.gamma[:, -1, i].argmax())
         for t in range(t_out):
             violations[i] += out[t, i] < -thresholds[k_cur, i]
-            k_cur = assign_regime_online(fit_result, scaled[t, i], i, k_cur,
+            k_cur = assign_regime_online(fit_result, scaled[t, i], k_cur,
                                          switch_penalty=switch_penalty)
 
     coverage = violations / t_out

@@ -6,22 +6,19 @@ A density is parameterised by a coefficient vector ``lam`` of length m,
     Z    = integral_{-1}^{1} exp(-sum_j lam_j x^j) dx,
 
 so the normalisation constant is never stored: log Z plays the role of the
-zeroth coefficient.  Every integral over [-1, 1] uses one fixed rule, the
-200-node Gauss-Legendre rule, whose nodes, weights and node-power table are
-built once at import.  One kernel, :func:`log_z_and_moments`, computes log Z
-and the moments over its nodes; the partition function, the moments, the
-entropy and the lambda step all call it.  Values away from the nodes
-(density, CDF, sampling table) come from one integrand helper that evaluates
-the polynomial by Horner's rule.  Every exponential is evaluated with a
-shift so the routines stay finite for any coefficient magnitude.
-
-``sample`` inverts a CDF table on a uniform grid of ``CDF_GRID_SIZE``
-points.  Each cell's mass comes from an 8-node Gauss-Legendre rule mapped
-onto the cell, and the table is their cumulative sum divided by the total,
-so it starts at 0, ends at 1 and never falls.  Against closed forms it is
-accurate to about 1e-14, down to densities about as narrow as one grid cell
-(4.9e-4).  A guide table of ``GUIDE_SIZE`` buckets of u finds each draw's
-cell; only draws in a bucket that holds a table knot are binary-searched.
+zeroth coefficient.  Two fixed rules share the work.  The 200-node
+Gauss-Legendre rule, built once at import with its node-power table, gives
+log Z and the moments through one kernel, :func:`log_z_and_moments`, which
+the partition function, the moments, the entropy, the lambda step and
+``density``'s normaliser all call.  One CDF table gives ``cdf``,
+``quantile`` and ``sample``: on a uniform grid of ``CDF_GRID_SIZE`` points,
+each cell's mass is an 8-node Gauss-Legendre rule mapped onto the cell, and
+inside a cell the same rule splits that mass at x.  Against closed forms
+this CDF is accurate to about 1e-14, down to densities about as narrow as
+one grid cell (4.9e-4).  Values away from the 200 nodes come from one
+integrand helper that evaluates the polynomial by Horner's rule, and every
+exponential is shifted so the routines stay finite for any coefficient
+magnitude.  ``sample`` inverts the table through a guide table (:func:`_invert`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 
 MAX_ORDER = 12          # highest supported monomial degree
-CDF_GRID_SIZE = 4097    # points of the tabulated CDF that ``sample`` inverts
+CDF_GRID_SIZE = 4097    # points of the CDF table behind cdf, quantile and sample
 GUIDE_SIZE = 2 ** 16    # buckets of u; a power of two keeps u * GUIDE_SIZE exact
 
 
@@ -87,17 +84,6 @@ def _neg_poly(lam: np.ndarray, x):
     return -np.polynomial.polynomial.polyval(x, np.concatenate(([0.0], lam)))
 
 
-def _cdf_at(lam: np.ndarray, log_z: float, x: np.ndarray):
-    """P(X <= x) for points x in [-1, 1], the rule mapped onto each [-1, x].
-
-    Reuses the same rule on the subinterval, so x = 1 reproduces the
-    full-interval normalisation up to rounding.
-    """
-    half = 0.5 * (x + 1.0)
-    u = half[..., None] * (NODES + 1.0) - 1.0               # [-1, 1] -> [-1, x]
-    return half * (np.exp(_neg_poly(lam, u) - log_z) @ WEIGHTS)
-
-
 def log_partition(lam) -> float:
     """ln Z = ln integral exp(-sum_j lam_j x^j) dx over [-1, 1]."""
     lam = validate_lambda(lam)
@@ -124,32 +110,30 @@ def moments(lam, j_max: int | None = None) -> np.ndarray:
 
 
 def cdf(lam, x) -> float:
-    """P(X <= x), computed by mapping the quadrature rule onto [-1, x]."""
+    """P(X <= x), read from the per-cell CDF table; x must lie in [-1, 1]."""
     lam = validate_lambda(lam)
     x = float(x)
     if not -1.0 <= x <= 1.0:
         raise DomainError("cdf argument outside [-1, 1]")
-    if x == -1.0:
-        return 0.0
-    val = _cdf_at(lam, log_partition(lam), np.asarray(x))
-    return float(min(max(val, 0.0), 1.0))
+    return _cdf_in_table(lam, *_cdf_grid(lam), x)
 
 
 def quantile(lam, alpha: float) -> float:
-    """Inverse CDF by bisection; alpha must lie strictly inside (0, 1).
+    """Inverse CDF by bisection on the per-cell CDF table; alpha in (0, 1).
 
-    log Z is computed once and every step evaluates the CDF at the midpoint
-    with :func:`_cdf_at`.  The bracket [-1, 1] halves exactly, so the loop
-    stops after 45 halvings, once its width is at most 1e-13.
+    The bracket starts at the table cell whose knot values enclose alpha:
+    bisecting [-1, 1] lands on knots for 12 halvings and reaches the same
+    cell.  It halves until its width is at most 1e-13, as that bisection would.
     """
     lam = validate_lambda(lam)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {alpha}")
-    log_z = log_z_and_moments(lam, lam.size)[0]
-    lo, hi = -1.0, 1.0
+    xs, cg = _cdf_grid(lam)
+    i = int(np.searchsorted(cg, alpha)) - 1
+    lo, hi = float(xs[i]), float(xs[i + 1])
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if _cdf_at(lam, log_z, np.asarray(mid)) < alpha:
+        if _cdf_in_table(lam, xs, cg, mid) < alpha:
             lo = mid
         else:
             hi = mid
@@ -157,14 +141,12 @@ def quantile(lam, alpha: float) -> float:
 
 
 def _cdf_grid(lam: np.ndarray):
-    """The CDF on a uniform grid of ``CDF_GRID_SIZE`` points, for ``sample``.
+    """The CDF on a uniform grid of ``CDF_GRID_SIZE`` points.
 
     Each cell's mass is the 8-node rule mapped onto the cell, with the
     integrand shifted by its maximum over all cells; the table is the
     cumulative sum of the masses from 0, divided by the total.  It thus
-    starts at exactly 0, ends at exactly 1 and never falls.  Its error
-    against closed forms is about 1e-14 down to densities about one cell
-    (4.9e-4) wide.
+    starts at exactly 0, ends at exactly 1 and never falls.
     """
     xs = np.linspace(-1.0, 1.0, CDF_GRID_SIZE)
     s = _neg_poly(lam, xs[:-1, None] + (xs[1] - xs[0]) * 0.5 * (CELL_NODES + 1.0))
@@ -174,6 +156,24 @@ def _cdf_grid(lam: np.ndarray):
     np.cumsum(mass, out=cg[1:])
     cg /= cg[-1]
     return xs, cg
+
+
+def _cdf_in_table(lam: np.ndarray, xs: np.ndarray, cg: np.ndarray, x: float) -> float:
+    """P(X <= x) from the table (xs, cg) of :func:`_cdf_grid`; x in [-1, 1].
+
+    A knot gives its table value.  Inside cell i the cell's table mass is
+    split in the ratio of the 8-node rule mapped onto [x_i, x] and onto
+    [x, x_(i+1)], both shifted by their common maximum.  That share lies in
+    [0, 1] by construction; a ratio to the whole cell's rule can pass 1 and
+    falls with x inside a cell for densities narrower than the cell.
+    """
+    i = int(np.searchsorted(xs, x, side="right")) - 1
+    if xs[i] == x:
+        return float(cg[i])
+    lo, width = np.array([xs[i], x]), np.array([x - xs[i], xs[i + 1] - x])
+    s = _neg_poly(lam, lo[:, None] + width[:, None] * (0.5 * (CELL_NODES + 1.0)))
+    below, above = width * (np.exp(s - s.max()) @ CELL_WEIGHTS)
+    return float(cg[i] + below / (below + above) * (cg[i + 1] - cg[i]))
 
 
 def _invert(xs: np.ndarray, cg: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -98,8 +98,8 @@ def jump_series_loop(hard: np.ndarray, v_k: np.ndarray):
 
 
 def quantile_by_cdf(lam, alpha: float) -> float:
-    """Reference for ``maxent.quantile``: bisection on the public ``cdf``,
-    which recomputes log Z at every step."""
+    """Reference for ``maxent.quantile``: bisection of [-1, 1] on the public
+    ``cdf``, which rebuilds the CDF table at every step."""
     lo, hi = -1.0, 1.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)

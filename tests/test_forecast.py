@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import erf, erfinv
 
 from tventropy import (
     FitResult,
@@ -112,6 +113,25 @@ class TestVarForecast:
         fit = make_fit([np.zeros(4)])
         doubled = ScalingMap(a=np.array([0.5]), b=np.array([0.0]))
         assert var_forecast(fit, 0, 0.95, doubled) == pytest.approx(1.8, abs=1e-8)
+
+    def test_narrow_regime_matches_closed_form(self):
+        # exp(-a x^2) on [-1, 1]: F(q) = (erf(sqrt(a) q) + erf(sqrt(a))) / (2 erf(sqrt(a)))
+        a = 2e4
+        r = math.sqrt(a)
+        q05 = erfinv(-0.9 * erf(r)) / r
+        fit = make_fit([[0.0, a]])
+        assert var_forecast(fit, 0, 0.95, IDENTITY) == pytest.approx(-q05, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_regime_out_of_range_rejected(self, k):
+        fit = make_fit([[0.0, 1.0], [0.0, 5.0]])
+        with pytest.raises(ValueError, match="regime k"):
+            var_forecast(fit, k, 0.95, IDENTITY)
+
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_dimension_out_of_range_rejected(self, i):
+        with pytest.raises(ValueError, match="dimension i"):
+            var_forecast(make_fit([[0.0, 1.0]]), 0, 0.95, IDENTITY, i)
 
 
 class TestKupiec:

@@ -2,10 +2,11 @@
 round trips and distributional laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf, logsumexp
+from scipy.special import erf, erfinv, logsumexp
 
 from tventropy import (
     DomainError,
@@ -128,6 +129,15 @@ class TestMoments:
             assert np.all((mom[1::2] >= 0.0) & (mom[1::2] <= 1.0))
 
 
+NARROW = ([0.0, 2e4], [0.0, 1e6], [0.0, 3e3, 0.0, 0.0, 0.0, 0.0], [-900.0, 450.0])
+
+
+# |lambda|_1 from 1e9 up to the 2.5e11 of the diverged regime in the strict
+# xfail of tests/test_estimator.py: far narrower than one CDF table cell.
+EXTREME = ([0.0, 1e9], [0.0, 1e11], [5e10, -3e10, 0.0, 0.0, 0.0, 1e10],
+           [0.0, 0.0, 0.0, 0.0, 0.0, 2.5e11])
+
+
 class TestCdfQuantile:
     def test_uniform_quantiles(self):
         assert quantile(np.zeros(6), 0.5) == pytest.approx(0.0, abs=1e-9)
@@ -162,10 +172,43 @@ class TestCdfQuantile:
 
     def test_identical_to_bisection_on_cdf(self):
         rng = np.random.default_rng(17)
-        for _ in range(12):
-            lam = rng.normal(0.0, 4.0, size=int(rng.integers(1, 9)))
+        lams = [rng.normal(0.0, 4.0, size=int(rng.integers(1, 9))) for _ in range(12)]
+        for lam in lams + [np.array(v) for v in NARROW]:
             for alpha in (0.01, 0.05, 0.5, 0.95, 0.99):
                 assert quantile(lam, alpha) == quantile_by_cdf(lam, alpha)
+
+    @pytest.mark.parametrize("a", [50.0, 2000.0, 2e4, 1e6])
+    def test_gaussian_segment_cdf_closed_form(self, a):
+        lam = np.array([0.0, a])
+        r = math.sqrt(a)
+        xs = maxent._cdf_grid(lam)[0]
+        near = np.arange(2048 - 48, 2048 + 48)              # the cells around the peak
+        knots = np.unique(np.concatenate((np.arange(0, xs.size, 64), near, [xs.size - 1])))
+        x = np.concatenate((xs[knots], 0.5 * (xs[near] + xs[near + 1])))
+        exact = (erf(r * x) + erf(r)) / (2.0 * erf(r))
+        np.testing.assert_allclose([cdf(lam, v) for v in x], exact, rtol=0, atol=1e-13)
+        assert quantile(lam, 0.975) == pytest.approx(erfinv(0.95) / r, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [[0.0, 5.0, 1.0], [2.0, -1.0, 0.0, 3.0], [0.0, 2e4]])
+    def test_cdf_is_the_table_at_its_knots(self, lam):
+        lam = np.array(lam)
+        xs, cg = maxent._cdf_grid(lam)
+        assert [maxent._cdf_in_table(lam, xs, cg, x) for x in xs] == cg.tolist()
+        assert [cdf(lam, x) for x in xs[::8]] == cg[::8].tolist()
+
+    @pytest.mark.parametrize("lam", EXTREME)
+    def test_extreme_lambda_finite_and_monotone(self, lam):
+        xs, cg = maxent._cdf_grid(np.array(lam))
+        cells = np.flatnonzero(np.diff(cg))                 # the cells that hold the mass
+        dense = [np.linspace(xs[c], xs[c + 1], 201) for c in cells[[0, cells.size // 2, -1]]]
+        grid = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 401)] + dense))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qs = [quantile(lam, alpha) for alpha in (0.01, 0.5, 0.99)]
+            vals = np.array([cdf(lam, x) for x in grid])
+        assert all(math.isfinite(q) and -1.0 <= q <= 1.0 for q in qs)
+        assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and vals[-1] == 1.0
+        assert np.all(np.diff(vals) >= 0.0)
 
 
 class TestCdfTable:
@@ -185,9 +228,6 @@ class TestCdfTable:
                 assert xs.shape == cg.shape == (maxent.CDF_GRID_SIZE,)
                 assert cg[0] == 0.0 and cg[-1] == 1.0
                 assert np.all(np.diff(cg) >= 0.0)
-
-
-NARROW = ([0.0, 2e4], [0.0, 1e6], [0.0, 3e3, 0.0, 0.0, 0.0, 0.0], [-900.0, 450.0])
 
 
 class TestSample:
