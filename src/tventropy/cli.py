@@ -72,7 +72,7 @@ def cmd_fit(args) -> int:
     model_io.save_model(args.output, result, scaling, labels=panel.labels)
     print(f"K={result.k} L={result.objective:.4f} BIC={result.bic:.4f} "
           f"p={result.param_count} converged={result.converged} "
-          f"degenerate={result.degenerate}")
+          f"degenerate={result.degenerate} lambda_unconverged={result.lambda_unconverged}")
     print(f"model written to {args.output}")
     return 0
 

@@ -146,7 +146,7 @@ MAX_OUTER_ITER = 200
 
 
 def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
-        lambda0: np.ndarray | None = None) -> FitResult:
+        lambda0: np.ndarray | None = None, *, features: np.ndarray | None = None) -> FitResult:
     """Alternate the regime and affiliation subproblems until the objective
     stalls.  ``panel`` must already be scaled into [-1, 1].
 
@@ -157,11 +157,18 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
     than ``TOL_OUTER`` (1e-6) relative.  ``converged`` is False when that
     takes over ``MAX_OUTER_ITER`` (200) outer iterations, or when a regime
     subproblem of the last one hit ``lambda_step.DEFAULT_MAX_ITER`` (5000).
+
+    ``features`` is ``feature_matrix(panel, config.m)``, shape (T, n, m);
+    ``fit`` builds it when it is not given.  Callers that fit one panel many
+    times (``anneal``, ``grid_search``) build it once and pass it; the
+    result is the same to the bit.
     """
     values = _as_values(panel)
     T, n = values.shape
     K, m = config.k, config.m
-    F = feature_matrix(values, m)
+    F = feature_matrix(values, m) if features is None else features
+    if F.shape != (T, n, m):
+        raise ValueError(f"features must have shape {(T, n, m)}, got {F.shape}")
     c_lam = config.c_lambda_per_regime()
     mass_floor = m + 2.0
 
@@ -268,16 +275,22 @@ def schwarz_weights(bics) -> np.ndarray:
     return w / w.sum()
 
 
-def anneal(panel, config: ModelConfig) -> FitResult:
+def anneal(panel, config: ModelConfig, *, features: np.ndarray | None = None) -> FitResult:
     """Best of ``config.n_anneal`` restarts by objective value.
 
     Restart r draws its initial affiliation with seed ``config.seed + r``;
     ties keep the earliest restart, so the result is reproducible.  ``fit``
     is deterministic in its start, so a restart whose start repeats an
     earlier one's is skipped: it could only tie.
+
+    ``features`` is as in ``fit``.  When it is not given, ``anneal`` builds
+    the features once and every restart reuses them; either way the result
+    is the same to the bit as with features built per restart.
     """
     values = _as_values(panel)
     T, n = values.shape
+    if features is None:
+        features = feature_matrix(values, config.m)
     best: FitResult | None = None
     seen = set()
     for r in range(config.n_anneal):
@@ -286,7 +299,7 @@ def anneal(panel, config: ModelConfig) -> FitResult:
         if key in seen:
             continue
         seen.add(key)
-        result = fit(values, config, gamma0=gamma0)
+        result = fit(values, config, gamma0=gamma0, features=features)
         if best is None or result.objective > best.objective:
             best = result
     return best
@@ -299,6 +312,7 @@ class GridCell:
     objective: float
     bic: float
     converged: bool
+    lambda_unconverged: int         # of the cell's chosen fit, as in FitResult
     schwarz: float = math.nan
 
 
@@ -309,6 +323,7 @@ class Stage2Cell:
     objective: float
     bic: float
     k_star: tuple
+    lambda_unconverged: int
 
 
 @dataclass
@@ -342,24 +357,26 @@ class SelectionReport:
         return self.best_fit.bic
 
 
-def _anneal_or_continue(values, cfg: ModelConfig, warm: FitResult | None) -> FitResult:
+def _anneal_or_continue(values, F: np.ndarray, cfg: ModelConfig,
+                        warm: FitResult | None) -> FitResult:
     """``anneal`` under ``cfg``; with ``warm`` given, also one fit started from
-    its solution, kept only if its objective is strictly higher."""
-    result = anneal(values, cfg)
+    its solution, kept only if its objective is strictly higher.  Both use the
+    features ``F`` of ``values``."""
+    result = anneal(values, cfg, features=F)
     if warm is not None:
-        cont = fit(values, cfg, gamma0=warm.gamma, lambda0=warm.lambdas)
+        cont = fit(values, cfg, gamma0=warm.gamma, lambda0=warm.lambdas, features=F)
         if cont.objective > result.objective:
             result = cont
     return result
 
 
 def _fit_lane(args):
-    values, base, k, c_grid = args
+    values, F, base, k, c_grid = args
     lane = []
     prev: FitResult | None = None
     for c in c_grid:
         cfg = replace(base, k=k, c_gamma=float(c), c_lambda=math.inf)
-        prev = _anneal_or_continue(values, cfg, prev)
+        prev = _anneal_or_continue(values, F, cfg, prev)
         lane.append(prev)
     return lane
 
@@ -374,6 +391,11 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     sweeps a logarithmic grid of l1 bounds scaled per regime from the stage-1
     coefficient norms; the unregularised winner stays in the candidate set,
     so sparsification is kept only when it lowers the BIC.
+
+    The monomial features depend only on the panel and ``config.m``, which
+    every cell shares, so they are built once here and passed to every
+    ``anneal`` and continuation fit of both stages; the result is the same
+    to the bit as with features built per fit.
     """
     values = _as_values(panel)
     base = config or ModelConfig()
@@ -386,7 +408,8 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    lane_args = [(values, base, k, c_gamma_grid) for k in k_grid]
+    F = feature_matrix(values, base.m)
+    lane_args = [(values, F, base, k, c_gamma_grid) for k in k_grid]
     if jobs > 1 and len(k_grid) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(k_grid))) as pool:
             lanes = list(pool.map(_fit_lane, lane_args))
@@ -397,7 +420,8 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     bics = np.array([f.bic for f in fits])
     weights = schwarz_weights(bics)
     stage1 = [GridCell(k=f.config.k, c_gamma=f.config.c_gamma, objective=f.objective,
-                       bic=f.bic, converged=f.converged, schwarz=float(wt))
+                       bic=f.bic, converged=f.converged,
+                       lambda_unconverged=f.lambda_unconverged, schwarz=float(wt))
               for f, wt in zip(fits, weights)]
     winner = fits[int(np.argmin(bics))]
 
@@ -410,10 +434,11 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
             c_lam = tuple(float(s) * norms)
             cfg = replace(base, k=winner.config.k, c_gamma=winner.config.c_gamma,
                           c_lambda=c_lam)
-            result = _anneal_or_continue(values, cfg, winner)
+            result = _anneal_or_continue(values, F, cfg, winner)
             stage2.append(Stage2Cell(scale=float(s), c_lambda=c_lam,
                                      objective=result.objective, bic=result.bic,
-                                     k_star=_k_star(result.lambdas, cfg.eps_sparse)))
+                                     k_star=_k_star(result.lambdas, cfg.eps_sparse),
+                                     lambda_unconverged=result.lambda_unconverged))
             if result.bic < best_fit.bic:
                 best_fit = result
 

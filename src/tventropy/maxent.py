@@ -109,13 +109,17 @@ def moments(lam, j_max: int | None = None) -> np.ndarray:
     return log_z_and_moments(lam, max(j_max, lam.size))[1][:j_max]
 
 
-def cdf(lam, x) -> float:
-    """P(X <= x), read from the per-cell CDF table; x must lie in [-1, 1]."""
+def cdf(lam, x):
+    """P(X <= x) at x (scalar or array), read from one per-cell CDF table
+    built for all the points; x must lie in [-1, 1]."""
     lam = validate_lambda(lam)
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((-1.0 <= x) & (x <= 1.0)):
         raise DomainError("cdf argument outside [-1, 1]")
-    return _cdf_in_table(lam, *_cdf_grid(lam), x)
+    xs, cg = _cdf_grid(lam)
+    if x.ndim == 0:
+        return _cdf_in_table(lam, xs, cg, float(x))
+    return np.array([_cdf_in_table(lam, xs, cg, v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def quantile(lam, alpha: float) -> float:

@@ -272,6 +272,14 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "column 1" in err
 
+    def test_summary_reports_lambda_unconverged(self, synthetic_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["fit", str(synthetic_csv), "--k", "2", "--m", "4", "--anneal", "1",
+                     "-o", str(out)]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.endswith(" lambda_unconverged=0")
+        assert "lambda_unconverged" not in out.read_text()   # the model file is unchanged
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])
         assert rc == 1

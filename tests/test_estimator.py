@@ -26,6 +26,7 @@ from tventropy import (
     schwarz_weights,
     tv_norm,
 )
+from tventropy import estimator
 from tventropy.estimator import MAX_OUTER_ITER, random_block_gamma
 
 from tests.helpers import log_integral_converged, random_block_gamma_loop
@@ -163,6 +164,23 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(values, ModelConfig(k=2, c_gamma=1.0), gamma0=np.ones((3, 4, 5)))
 
+    def test_given_features_change_no_bit(self):
+        values, _, _ = scaled_synthetic(seed=3)
+        cfg = ModelConfig(k=2, c_gamma=3.0, m=5)
+        g = random_block_gamma(2, values.shape[0], 1, 3.0, 4)
+        built = fit(values, cfg, gamma0=g)
+        given = fit(values, cfg, gamma0=g, features=feature_matrix(values, cfg.m))
+        for name in ("gamma", "lambdas", "log_z", "trace"):
+            np.testing.assert_array_equal(getattr(given, name), getattr(built, name))
+        assert given.objective == built.objective
+
+    @pytest.mark.parametrize("m, T", [(4, 400), (5, 399)], ids=["wrong-m", "wrong-T"])
+    def test_features_shape_checked(self, m, T):
+        values, _, _ = scaled_synthetic(seed=6)
+        with pytest.raises(ValueError, match="features"):
+            fit(values, ModelConfig(k=2, c_gamma=3.0, m=5),
+                features=feature_matrix(values[:T], m))
+
 
 class TestRandomBlockGamma:
     def test_budget_respected(self):
@@ -245,6 +263,14 @@ class TestAnneal:
         # the counters are the best restart's, not sums
         assert (annealed.lp_solves, annealed.shortcut_hits) == (best.lp_solves,
                                                                 best.shortcut_hits)
+
+    def test_builds_features_once(self, monkeypatch):
+        values, _, _ = scaled_synthetic(seed=9, T=200, period=50)
+        built = []
+        monkeypatch.setattr("tventropy.estimator.feature_matrix",
+                            lambda *args: built.append(args) or feature_matrix(*args))
+        anneal(values, ModelConfig(k=2, c_gamma=3.0, m=4, n_anneal=4, seed=5))
+        assert len(built) == 1
 
 
 class TestParamCountAndBic:
@@ -371,6 +397,34 @@ class TestGridSearch:
         r2 = grid_search(values, [1, 2], [2.0], config, stage2_points=0, jobs=2)
         assert [c.bic for c in r1.stage1] == [c.bic for c in r2.stage1]
         np.testing.assert_array_equal(r1.best_fit.gamma, r2.best_fit.gamma)
+
+    def test_builds_features_once(self, monkeypatch):
+        values, _, _ = scaled_synthetic(seed=15, T=200, period=50)
+        built = []
+        monkeypatch.setattr("tventropy.estimator.feature_matrix",
+                            lambda *args: built.append(args) or feature_matrix(*args))
+        report = grid_search(values, [1, 2], [2.0, 4.0], ModelConfig(m=4, n_anneal=2, seed=0),
+                             stage2_points=2, jobs=1)
+        assert len(report.stage2) == 2
+        assert len(built) == 1
+
+    def test_cells_report_their_fits_lambda_unconverged(self, monkeypatch):
+        values, _, _ = scaled_synthetic(v2=6.0, seed=14, T=200, period=50)
+        monkeypatch.setattr("tventropy.estimator.fit_lambda", partial(fit_lambda, max_iter=2))
+        chosen = []
+
+        def recording(*args, **kwargs):
+            chosen.append(anneal_or_continue(*args, **kwargs))
+            return chosen[-1]
+
+        anneal_or_continue = estimator._anneal_or_continue
+        monkeypatch.setattr("tventropy.estimator._anneal_or_continue", recording)
+        report = grid_search(values, [1, 2], [2.0, 4.0], ModelConfig(m=4, n_anneal=2, seed=0),
+                             stage2_points=2, jobs=1)
+        cells = report.stage1 + report.stage2
+        assert len(chosen) == len(cells) == 6
+        assert [c.lambda_unconverged for c in cells] == [f.lambda_unconverged for f in chosen]
+        assert any(c.lambda_unconverged > 0 for c in cells)
 
 
 class TestSelectionReport:

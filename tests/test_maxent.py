@@ -196,6 +196,24 @@ class TestCdfQuantile:
         assert [maxent._cdf_in_table(lam, xs, cg, x) for x in xs] == cg.tolist()
         assert [cdf(lam, x) for x in xs[::8]] == cg[::8].tolist()
 
+    def test_array_argument_builds_one_table(self, monkeypatch):
+        lam = np.array([0.1, 3.0, 0.5, 2.0, 0.0, 3.0])
+        xs = np.concatenate((np.linspace(-1.0, 1.0, 37), [0.3, -0.7, 1e-9]))
+        want = [cdf(lam, x) for x in xs]
+        tables, cdf_grid = [], maxent._cdf_grid
+        monkeypatch.setattr(maxent, "_cdf_grid",
+                            lambda lam: tables.append(lam) or cdf_grid(lam))
+        got = cdf(lam, xs)
+        assert len(tables) == 1
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.tolist() == want
+        assert cdf(lam, xs.reshape(5, 8)).tolist() == np.reshape(want, (5, 8)).tolist()
+        assert isinstance(cdf(lam, np.float64(0.3)), float)
+
+    def test_array_argument_outside_domain_rejected(self):
+        with pytest.raises(DomainError):
+            cdf(np.zeros(3), np.array([0.0, 0.5, 1.5]))
+
     @pytest.mark.parametrize("lam", EXTREME)
     def test_extreme_lambda_finite_and_monotone(self, lam):
         xs, cg = maxent._cdf_grid(np.array(lam))
