@@ -19,7 +19,6 @@ both chosen by BIC.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -411,6 +410,8 @@ def grid_search(panel, k_grid, c_gamma_grid, config: ModelConfig | None = None,
     F = feature_matrix(values, base.m)
     lane_args = [(values, F, base, k, c_gamma_grid) for k in k_grid]
     if jobs > 1 and len(k_grid) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(k_grid))) as pool:
             lanes = list(pool.map(_fit_lane, lane_args))
     else:

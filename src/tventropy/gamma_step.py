@@ -18,9 +18,11 @@ K(T-1)n + Tn + K rows.  For K = 2 the eliminated regime's weights are
 rows and a budget row, and "weights sum <= 1" is gamma[0]'s column bound:
 (T-1)n + 1 rows.  The LP is solved exactly with HiGHS primal simplex
 through scipy's vendored HiGHS bindings (``scipy.optimize._highspy``,
-scipy >= 1.15); there is no other solve path.  When the per-point argmax
-assignment already satisfies every budget the LP is skipped: that assignment
-is optimal by construction.
+scipy >= 1.15); there is no other solve path.  Those bindings, and
+``scipy.sparse`` for the constraint matrix, are imported when the first LP is
+built, not with this module, and the model reaches HiGHS in one array call.
+When the per-point argmax assignment already satisfies every budget the LP is
+skipped: that assignment is optimal by construction.
 
 ``AffiliationSolver`` keeps one HiGHS session alive across repeated solves
 with changing scores.  Only the objective changes between solves, never the
@@ -41,8 +43,6 @@ arithmetic (``_lp_rows``); there is no module-level cache.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _hc
 
 from .errors import SolverError
 
@@ -86,6 +86,8 @@ def _lp_rows(K: int, T: int, n: int, c_gamma: float):
     gamma[1] = 1 - gamma[0] has the same TV, and the "weights sum <= 1" rows
     are gamma[0]'s column bound: (T-1)n + 1 rows.
     """
+    import scipy.sparse as sp
+
     budgeted, n_simplex = (1, 0) if K == 2 else (K, T * n)
     m = (T - 1) * n                         # differences per regime
     d = np.arange(m)                        # difference (t, i) -> t*n + i
@@ -111,6 +113,20 @@ def _lp_rows(K: int, T: int, n: int, c_gamma: float):
                             np.full(budgeted, float(c_gamma))])
     A = sp.csc_matrix((vals, (rows, cols)), shape=(upper.size, n_gamma + 2 * budgeted * m))
     return A, lower, upper
+
+
+def _highs_core():
+    """scipy's vendored HiGHS binding, imported on first use.
+
+    Only an LP build and solve need it, so importing the package (and every
+    command that never solves an affiliation LP) loads no scipy module.
+    """
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise SolverError(
+            "affiliation LP needs scipy>=1.15 (scipy.optimize._highspy)") from exc
+    return core
 
 
 def _start_point(gamma: np.ndarray) -> np.ndarray:
@@ -144,21 +160,15 @@ class AffiliationSolver:
         self.shortcut_hits = 0          # solves answered by the argmax assignment
 
     def _build_highs(self):
+        """A HiGHS session with this solver's LP and zero costs, passed in one
+        array call; ``integrality`` is ``n_col`` zeros (all continuous), since
+        HiGHS rejects an empty array there with ``kError``."""
+        hc = _highs_core()
         A, row_lower, row_upper = _lp_rows(self.K, self.T, self.n, self.c_gamma)
-        lp = _hc.HighsLp()
-        lp.num_row_, lp.num_col_ = A.shape
-        lp.col_cost_ = np.zeros(lp.num_col_)
-        lp.col_lower_ = np.zeros(lp.num_col_)
-        lp.col_upper_ = np.concatenate([   # gamma in [0, 1], up and down unbounded above
-            np.ones(self._n_gamma), np.full(lp.num_col_ - self._n_gamma, np.inf)])
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = A.indices.astype(np.int32)
-        lp.a_matrix_.value_ = A.data
-        lp.sense_ = _hc.ObjSense.kMinimize
-        h = _hc._Highs()
+        n_row, n_col = A.shape
+        col_upper = np.concatenate([   # gamma in [0, 1], up and down unbounded above
+            np.ones(self._n_gamma), np.full(n_col - self._n_gamma, np.inf)])
+        h = hc._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("presolve", "off")
         h.setOptionValue("threads", 1)
@@ -166,7 +176,13 @@ class AffiliationSolver:
         h.setOptionValue("simplex_strategy", 4)
         h.setOptionValue("primal_feasibility_tolerance", 1e-9)
         h.setOptionValue("dual_feasibility_tolerance", 1e-9)
-        h.passModel(lp)
+        status = h.passModel(
+            n_col, n_row, A.nnz, hc.MatrixFormat.kColwise, hc.ObjSense.kMinimize, 0.0,
+            np.zeros(n_col), np.zeros(n_col), col_upper, row_lower, row_upper,
+            A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+            np.zeros(n_col, dtype=np.int32))
+        if status != hc.HighsStatus.kOk:
+            raise SolverError("affiliation LP model was rejected by HiGHS")
         return h
 
     def _solve_lp(self, eff: np.ndarray, start: np.ndarray | None) -> np.ndarray:
@@ -175,21 +191,21 @@ class AffiliationSolver:
         first = self._highs is None
         if first:
             self._highs = self._build_highs()
-        h = self._highs
+        h, hc = self._highs, _highs_core()
         # set form (count, indices, costs); the interval form is not bound
         status = h.changeColsCost(self._n_gamma, self._gamma_cols, cost_gamma)
-        if status != _hc.HighsStatus.kOk:
+        if status != hc.HighsStatus.kOk:
             raise SolverError("affiliation LP rejected the objective update")
         if first and start is not None:
             # after the costs: the start then needs about a third fewer iterations
-            sol = _hc.HighsSolution()
+            sol = hc.HighsSolution()
             sol.col_value = _start_point(start)
-            if h.setSolution(sol) == _hc.HighsStatus.kError:
+            if h.setSolution(sol) == hc.HighsStatus.kError:
                 raise SolverError("affiliation LP rejected the start point")
         h.run()
         self.lp_solves += 1
         self.simplex_iterations += h.getInfo().simplex_iteration_count
-        if h.getModelStatus() != _hc.HighsModelStatus.kOptimal:
+        if h.getModelStatus() != hc.HighsModelStatus.kOptimal:
             raise SolverError(
                 f"affiliation LP failed: {h.modelStatusToString(h.getModelStatus())}")
         x = np.asarray(h.getSolution().col_value)

@@ -250,6 +250,40 @@ def lp_rows_blocks(K: int, T: int, n: int, c_gamma: float):
     return sp.vstack(rows, format="csc"), lower, upper
 
 
+def build_highs_lp(K: int, T: int, n: int, c_gamma: float):
+    """Reference for ``AffiliationSolver._build_highs``: the same HiGHS
+    session with the ``_lp_rows`` model copied field by field into a
+    ``HighsLp`` and passed with ``passModel(lp)``."""
+    from scipy.optimize._highspy import _core as hc
+
+    from tventropy.gamma_step import _lp_rows
+
+    A, row_lower, row_upper = _lp_rows(K, T, n, c_gamma)
+    n_gamma = (K - 1) * T * n
+    lp = hc.HighsLp()
+    lp.num_row_, lp.num_col_ = A.shape
+    lp.col_cost_ = np.zeros(lp.num_col_)
+    lp.col_lower_ = np.zeros(lp.num_col_)
+    lp.col_upper_ = np.concatenate([
+        np.ones(n_gamma), np.full(lp.num_col_ - n_gamma, np.inf)])
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = hc.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr.astype(np.int64)
+    lp.a_matrix_.index_ = A.indices.astype(np.int32)
+    lp.a_matrix_.value_ = A.data
+    lp.sense_ = hc.ObjSense.kMinimize
+    h = hc._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    h.setOptionValue("threads", 1)
+    h.setOptionValue("simplex_strategy", 4)
+    h.setOptionValue("primal_feasibility_tolerance", 1e-9)
+    h.setOptionValue("dual_feasibility_tolerance", 1e-9)
+    assert h.passModel(lp) == hc.HighsStatus.kOk
+    return h
+
+
 def fit_lambda_two_loops(features: np.ndarray, w, c_lambda: float = np.inf,
                          tol: float = 1e-7, max_iter: int = 5000, warm_start=None):
     """Reference for ``lambda_step.fit_lambda``: the damped-Newton search and

@@ -1,10 +1,15 @@
 """End-to-end command tests and model file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tventropy
 from tventropy import (
     ModelConfig,
     ScalingMap,
@@ -284,6 +289,16 @@ class TestFitCommand:
         rc = main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])
         assert rc == 1
 
+    def test_missing_highs_core_gives_one_line_error(self, synthetic_csv, tmp_path, capsys,
+                                                     monkeypatch):
+        # a scipy without the vendored HiGHS bindings fails at the first LP
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        rc = main(["fit", str(synthetic_csv), "--k", "2", "--cgamma", "1", "--m", "4",
+                   "--anneal", "1", "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: affiliation LP needs scipy>=1.15 (scipy.optimize._highspy)\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["fit", "{csv}", "--k", "0"],
@@ -464,3 +479,21 @@ class TestPipelineCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "400" in err and "300" in err
+
+
+def test_import_loads_no_scipy_until_the_first_lp():
+    # a fresh interpreter: this one has scipy loaded by the tests
+    code = "\n".join([
+        "import json, sys",
+        "import numpy as np",
+        "import tventropy, tventropy.cli",
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "s = np.tile([1.0, -1.0], 20)",
+        "tventropy.solve_gamma(np.stack([s, -s])[:, :, None], 1.0)   # budget binds",
+        "print(json.dumps([before, 'scipy.optimize._highspy._core' in sys.modules]))",
+    ])
+    src = str(Path(tventropy.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    before, loaded = json.loads(out.splitlines()[-1])
+    assert before == [] and loaded

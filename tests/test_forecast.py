@@ -156,6 +156,26 @@ class TestKupiec:
             assert lr == pytest.approx(lr_o, abs=1e-10 * max(1, abs(lr_o)))
             assert pv == pytest.approx(pv_o, abs=1e-10)
 
+    def test_p_value_matches_gammaincc(self):
+        from scipy.special import gammaincc
+
+        lrs = []
+        # every count for each (t_out, p): LR runs from 0 at x = p t_out upward
+        for t in (50, 400, 2000):
+            for p in (0.01, 0.05, 0.2):
+                for x in range(t + 1):
+                    lr, pv = kupiec_test(x, t, p)
+                    if lr > 1e3:
+                        continue
+                    lrs.append(lr)
+                    # gammaincc's own error reaches 4.4e-15 for LR in about
+                    # [0.9, 2.5]; erfc(sqrt(LR/2)) stays within 2e-16 of 40 digits
+                    assert abs(pv - gammaincc(0.5, lr / 2.0)) <= 5e-15
+                    with mp.workdps(40):
+                        want = mp.erfc(mp.sqrt(mp.mpf(lr) / 2))
+                    assert abs(pv - float(want)) <= 2e-16
+        assert min(lrs) < 1e-9 and max(lrs) > 900.0 and len(lrs) > 2000
+
     def test_exact_coverage_is_zero_for_all_counts(self):
         for x, t in [(1, 10), (3, 30), (25, 100)]:
             lr, _ = kupiec_test(x, t, x / t)

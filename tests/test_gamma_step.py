@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, tv_norm
-from tventropy import gamma_step
+from tventropy import SolverError, gamma_step
 from tventropy.estimator import random_block_gamma
 from tventropy.gamma_step import AffiliationSolver
-from tests.helpers import affiliation_lp_optimum, lp_rows_blocks
+from tests.helpers import affiliation_lp_optimum, build_highs_lp, lp_rows_blocks
 
 LN2 = math.log(2.0)
 
@@ -341,3 +342,61 @@ class TestLpRows:
 
     def test_no_module_cache(self):
         assert not any(hasattr(v, "cache_info") for v in vars(gamma_step).values())
+
+
+class TestHighsBuild:
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_same_model_as_lp_rows_and_field_copy_build(self, K):
+        # the one-call array build must hand HiGHS exactly the _lp_rows model,
+        # as the HighsLp copied field by field did
+        for T, n, c_gamma in itertools.product((2, 3, 7, 20, 50), (1, 2, 3), (0.0, 2.5)):
+            got = AffiliationSolver(K, T, n, c_gamma)._build_highs().getLp()
+            ref = build_highs_lp(K, T, n, c_gamma).getLp()
+            A, lower, upper = gamma_step._lp_rows(K, T, n, c_gamma)
+            assert (got.num_row_, got.num_col_) == (ref.num_row_, ref.num_col_) == A.shape
+            n_col, n_gamma = A.shape[1], (K - 1) * T * n
+            assert (got.a_matrix_.format_, got.sense_, got.offset_) == (
+                ref.a_matrix_.format_, ref.sense_, ref.offset_)
+            for field, want in [("col_cost_", np.zeros(n_col)),
+                                ("col_lower_", np.zeros(n_col)),
+                                ("col_upper_", np.r_[np.ones(n_gamma),
+                                                     np.full(n_col - n_gamma, np.inf)]),
+                                ("row_lower_", lower), ("row_upper_", upper)]:
+                np.testing.assert_array_equal(getattr(got, field), want)
+                np.testing.assert_array_equal(getattr(ref, field), want)
+            for field, want in [("start_", A.indptr), ("index_", A.indices),
+                                ("value_", A.data)]:
+                np.testing.assert_array_equal(getattr(got.a_matrix_, field), want)
+                np.testing.assert_array_equal(getattr(ref.a_matrix_, field), want)
+            assert len(got.integrality_) == n_col and set(got.integrality_) == {
+                gamma_step._highs_core().HighsVarType.kContinuous}
+
+    @pytest.mark.parametrize("K, T, n, c_gamma", [(2, 50, 1, 2.0), (2, 30, 3, 4.0),
+                                                  (3, 40, 2, 3.0), (4, 20, 1, 0.0)])
+    def test_resolves_match_field_copy_build(self, K, T, n, c_gamma):
+        # same start point, same cost updates: the pivot paths must coincide
+        rng = np.random.default_rng(K * 1000 + T)
+        new, old = AffiliationSolver(K, T, n, c_gamma), AffiliationSolver(K, T, n, c_gamma)
+        old._build_highs = lambda: build_highs_lp(K, T, n, c_gamma)
+        prev = random_block_gamma(K, T, n, c_gamma, T)
+        for _ in range(50):
+            scores = rng.normal(size=(K, T, n))
+            a, b = new.solve(scores, gamma_prev=prev), old.solve(scores, gamma_prev=prev)
+            assert a.tobytes() == b.tobytes()
+            prev = a
+        assert new.lp_solves == old.lp_solves == 50
+        assert new.simplex_iterations == old.simplex_iterations > 0
+
+
+def alternating_scores(T=40):
+    """Two regimes whose argmax switches at every step: any budget below
+    T - 1 binds, so the solve goes to the LP."""
+    s = np.tile([1.0, -1.0], T // 2)
+    return np.stack([s, -s])[:, :, None]
+
+
+def test_missing_highs_core_is_a_solver_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert solve_gamma(alternating_scores(), 100.0).shape == (2, 40, 1)   # shortcut
+    with pytest.raises(SolverError, match=r"needs scipy>=1\.15 \(scipy\.optimize\._highspy\)"):
+        solve_gamma(alternating_scores(), 1.0)
