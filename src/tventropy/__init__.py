@@ -39,7 +39,6 @@ from .estimator import (
     SelectionReport,
     anneal,
     bic,
-    compose_lambda,
     fit,
     grid_search,
     param_count,
@@ -64,6 +63,6 @@ from .maxent import (
     quantile,
     sample,
 )
-from .panel import DescriptiveStats, Panel, ScalingMap, descriptive_stats, load_csv, rescale
+from .panel import Panel, ScalingMap, load_csv, rescale
 
 __version__ = "0.1.0"

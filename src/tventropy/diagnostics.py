@@ -125,8 +125,9 @@ def acf_abs(x, d: float = 1.0, max_lag: int = 50) -> np.ndarray:
                          f"got {max_lag}")
     if not d >= 0:          # NaN included; d = 0 fails the constant-series test below
         raise ValueError(f"d must be positive, got {d}")
-    y = np.abs(x) ** d
-    yc = y - y.mean(axis=-1, keepdims=True)
+    yc = np.abs(x)                  # in place from here: one full-size array
+    yc **= d
+    yc -= yc.mean(axis=-1, keepdims=True)
     denom = np.einsum("...t,...t->...", yc, yc)
     if np.any(denom <= 1e-300 * T):
         raise DegenerateSeries("series |x|^d is constant; autocorrelation undefined")
@@ -192,7 +193,8 @@ def simulated_acf(fit_result: FitResult, n_samples: int = 1000, d: float = 1.0,
         raise ValueError("max_lag must be smaller than the fitted length")
     sims = _simulate_dim(fit_result, i, n_samples, seed)
     if scaling is not None:
-        sims = (sims - scaling.b[i]) / scaling.a[i]
+        sims -= scaling.b[i]
+        sims /= scaling.a[i]
     return acf_abs(sims, d, max_lag).mean(axis=0)
 
 

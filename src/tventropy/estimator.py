@@ -100,17 +100,6 @@ class FitResult:
         return self.gamma.argmax(axis=0)
 
 
-def compose_lambda(weights, lambdas) -> np.ndarray:
-    """Convex combination sum_k weights[k] * lambdas[k]."""
-    weights = np.asarray(weights, dtype=float)
-    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=float))
-    if weights.shape != (lambdas.shape[0],):
-        raise ValueError("one weight per regime is required")
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must lie on the probability simplex")
-    return weights @ lambdas
-
-
 def _as_values(panel) -> np.ndarray:
     values = panel.values if isinstance(panel, Panel) else np.asarray(panel, dtype=float)
     if values.ndim == 1:
@@ -203,7 +192,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
                              warm_start=lambdas[k])
             stalled += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
-            # guard against float-order regressions of the shared objective
+            # a regime already at its optimum: the new lam can sum up to 2e-12 lower here
             if float((w * new_scores_k).sum()) >= float((w * scores[k]).sum()):
                 lam_moved = max(lam_moved, float(np.abs(res.lam - lambdas[k]).max()))
                 lambdas[k] = res.lam

@@ -211,7 +211,7 @@ class AffiliationSolver:
         x = np.asarray(h.getSolution().col_value)
         top = x[: self._n_gamma].reshape(self.K - 1, self.T, self.n)
         gamma = np.concatenate([top, (1.0 - top.sum(axis=0))[None]], axis=0)
-        gamma = np.clip(gamma, 0.0, None)
+        gamma = np.clip(gamma, 0.0, None)   # HiGHS leaves weights down to -3e-14
         gamma /= gamma.sum(axis=0)
         return gamma
 
@@ -239,7 +239,7 @@ class AffiliationSolver:
             tv_norm(gamma_prev, k) for k in range(self.K)) <= self.c_gamma + 1e-7
         gamma = self._solve_lp(eff, gamma_prev if feasible else None)
         if feasible and float((gamma * scores).sum()) < float((gamma_prev * scores).sum()):
-            return gamma_prev.copy()
+            return gamma_prev.copy()    # a tied optimum: the vertex can sum 3e-12 lower
         return gamma
 
 

@@ -13,9 +13,14 @@ so every candidate lies in it).  Otherwise, or when no Newton candidate
 passes, it is the projected-gradient step, which owns the boundary.  The
 damping matters for high moment orders, whose monomial covariance is badly
 conditioned: from a far start the full step overshoots, and plain gradient
-ascent crawls.  Every accepted step improves the objective, so the iterate
-trace is monotone.  An infinite ``c_lambda`` runs the same code: the ball
-test always passes and projecting is a copy.
+ascent crawls.  A candidate is accepted when h_new >= h + 1e-4 gain, with
+gain the step's first-order increase.  The Newton gain is positive (the
+search runs only when g . d > 0), and the projected-gradient gain is
+nonnegative in exact arithmetic; where rounding makes it negative, 1e-4 gain
+lies far below the resolution of h, so h + 1e-4 gain rounds to h.  Either
+way the test asks h_new >= h, and the iterate trace is monotone.  An
+infinite ``c_lambda`` runs the same code: the ball test always passes and
+projecting is a copy.
 
 log Z and the moments, and so the Newton system's monomial covariance, come
 from the density engine's one kernel, :func:`.maxent.log_z_and_moments`,
@@ -115,13 +120,14 @@ class LambdaFit:
 
 def _armijo_search(path, t: float, tries: int, h: float, mu_hat: np.ndarray, j_max: int):
     """The first of path(t), path(t/2), ... (at most ``tries``), each a
-    (candidate, gain) pair, with h_new >= h + 1e-4 gain and h_new >= h, as
-    (t, candidate, log Z, moments, h_new); None when every try fails."""
+    (candidate, gain) pair, with h_new >= h + 1e-4 gain, as (t, candidate,
+    log Z, moments, h_new); None when every try fails.  The gains
+    ``fit_lambda`` passes make this test imply h_new >= h (module docstring)."""
     for _ in range(tries):
         cand, gain = path(t)
         log_z, mom = log_z_and_moments(cand, j_max)
         h_new = -(cand @ mu_hat + log_z)
-        if h_new >= h + 1e-4 * gain and h_new >= h:
+        if h_new >= h + 1e-4 * gain:
             return t, cand, log_z, mom, h_new
         t *= 0.5
     return None
@@ -133,10 +139,12 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
     """Maximise the weighted log-likelihood subject to |lam|_1 <= c_lambda.
 
     Each iteration backtracks from a first step t, halving it, to the first
-    candidate with h_new >= h + 1e-4 gain and h_new >= h: lam + t d with gain
-    t (g . d) from t = 1 when the full Newton point lam + d lies in the l1
-    ball; otherwise, or when no Newton candidate passes, P(lam + t g) with
-    gain g . (P(lam + t g) - lam) from twice the last accepted such t.
+    candidate with h_new >= h + 1e-4 gain: lam + t d with gain t (g . d) > 0
+    from t = 1 when the full Newton point lam + d lies in the l1 ball;
+    otherwise, or when no Newton candidate passes, P(lam + t g) with gain
+    g . (P(lam + t g) - lam), which is >= 0 up to rounding, from twice the
+    last accepted such t.  No accepted step lowers h, so ``trace`` is
+    nondecreasing.
 
     Raises EmptyRegime when the weights carry no mass.  If the iteration
     budget runs out the best iterate is returned with ``converged=False``

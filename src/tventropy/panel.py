@@ -1,4 +1,4 @@
-"""Panel data model: CSV ingestion, rescaling to [-1, 1], summary statistics."""
+"""Panel data model: CSV ingestion and rescaling to [-1, 1]."""
 
 from __future__ import annotations
 
@@ -83,23 +83,6 @@ class ScalingMap:
         return (np.asarray(scaled, dtype=float) - self.b) / self.a
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
-    """Per-dimension sample shape statistics.
-
-    Kurtosis is reported in both common conventions: ``kurtosis`` is the raw
-    fourth standardised moment (3 for a normal), ``excess_kurtosis`` subtracts 3.
-    """
-
-    n_obs: tuple[int, ...]
-    skewness: np.ndarray
-    kurtosis: np.ndarray
-
-    @property
-    def excess_kurtosis(self) -> np.ndarray:
-        return self.kurtosis - 3.0
-
-
 def load_csv(path, delimiter: str = ",", header: bool = False) -> Panel:
     """Read a numeric CSV into a Panel.
 
@@ -153,20 +136,3 @@ def rescale(panel: Panel) -> tuple[Panel, ScalingMap]:
     scaled = np.clip(scaling.apply(panel.values), -1.0, 1.0)  # guard rounding at the ends
     return Panel(values=scaled, labels=panel.labels), scaling
 
-
-def descriptive_stats(panel: Panel) -> DescriptiveStats:
-    """Sample skewness g1 and fourth-standardised-moment kurtosis per dimension."""
-    if panel.T < 4:
-        raise ValueError("descriptive statistics need at least 4 observations")
-    x = panel.values
-    centred = x - x.mean(axis=0)
-    m2 = np.mean(centred ** 2, axis=0)
-    m3 = np.mean(centred ** 3, axis=0)
-    m4 = np.mean(centred ** 4, axis=0)
-    skew = m3 / m2 ** 1.5
-    kurt = m4 / m2 ** 2
-    return DescriptiveStats(
-        n_obs=tuple([panel.T] * panel.n),
-        skewness=skew,
-        kurtosis=kurt,
-    )

@@ -13,7 +13,8 @@ from tventropy import build_scores, feature_matrix, log_partition, solve_gamma, 
 from tventropy import SolverError, gamma_step
 from tventropy.estimator import random_block_gamma
 from tventropy.gamma_step import AffiliationSolver
-from tests.helpers import affiliation_lp_optimum, build_highs_lp, lp_rows_blocks
+from tests.helpers import (affiliation_lp_optimum, build_highs_lp, lp_rows_blocks,
+                           random_fit_trace)
 
 LN2 = math.log(2.0)
 
@@ -229,6 +230,25 @@ class TestAffiliationSolver:
                 assert obj >= float((prev * scores).sum()) - 1e-12
             if use_prev:
                 prev = gamma
+
+    def test_never_scores_below_feasible_prev(self, monkeypatch):
+        # the solves of criterion 05's random fit 3 (K=3, T=155, n=1,
+        # c_gamma=6), replayed on a fresh session: twice the LP's vertex
+        # scores 1.8e-15 below gamma_prev, and solve must keep gamma_prev
+        calls, solve = [], AffiliationSolver.solve
+
+        def spy(self, scores, gamma_prev=None):
+            calls.append((scores.copy(), gamma_prev.copy()))
+            return solve(self, scores, gamma_prev)
+
+        monkeypatch.setattr(AffiliationSolver, "solve", spy)
+        random_fit_trace(3)
+        monkeypatch.undo()
+        solver = AffiliationSolver(3, 155, 1, 6.0)
+        for scores, prev in calls:
+            gamma = solver.solve(scores, gamma_prev=prev)
+            assert float((gamma * scores).sum()) >= float((prev * scores).sum())
+        assert solver.lp_solves >= 2
 
     def test_start_just_over_budget_still_solves(self):
         # a start up to 1e-7 over budget counts as feasible and is handed to

@@ -222,7 +222,8 @@ class TestFitLambda:
         assert np.all(np.diff(res.trace) >= 0)
 
     def test_bounded_kkt(self, monkeypatch):
-        # every point a line search evaluates lies in the l1 ball, and every
+        # every point a line search evaluates lies in the l1 ball, every trace
+        # is nondecreasing (the Armijo test alone keeps it so), and every
         # converged result is feasible with a projected-gradient residual <= tol
         kernel, norms = lambda_step.log_z_and_moments, []
 
@@ -244,6 +245,7 @@ class TestFitLambda:
             res = fit_lambda(F, w, c_lambda=c, tol=tol,
                              warm_start=rng.normal(0, 3, size=m) if trial % 2 else None)
             assert max(norms) <= c * (1 + 1e-12)
+            assert np.all(np.diff(res.trace) >= 0)
             if not res.converged:
                 continue
             converged += 1
@@ -257,6 +259,27 @@ class TestFitLambda:
                 resid = project_l1_ball(lam + g, c) - lam
             assert np.abs(resid).max() <= tol
         assert converged >= 35 and on_boundary >= 10
+
+    def test_trace_monotone_through_negative_gains(self, monkeypatch):
+        # at tol=1e-300 on the l1 boundary the projected-gradient gain rounds
+        # below 0 (to -2e-17 here); 1e-4 of it is below the resolution of h,
+        # so the Armijo test alone keeps every accepted step from lowering h
+        search, gains = lambda_step._armijo_search, []
+
+        def spy(path, *args):
+            def logged(t):
+                cand, gain = path(t)
+                gains.append(gain)
+                return cand, gain
+            return search(logged, *args)
+
+        monkeypatch.setattr(lambda_step, "_armijo_search", spy)
+        rng = np.random.default_rng(0)
+        x = np.clip(rng.standard_t(4, size=(100, 1)) * rng.uniform(0.05, 0.4), -1, 1)
+        w = rng.uniform(0, 1, size=(100, 1))
+        res = fit_lambda(feature_matrix(x, 11), w, c_lambda=2.0, tol=1e-300, max_iter=60)
+        assert min(gains) < 0
+        assert np.all(np.diff(res.trace) >= 0)
 
     def test_matches_two_loop_reference(self, monkeypatch):
         # one search over two step paths takes the same steps, bit for bit, as

@@ -1,4 +1,4 @@
-"""Panel construction, CSV parsing, rescaling and summary statistics."""
+"""Panel construction, CSV parsing and rescaling."""
 
 import logging
 
@@ -7,12 +7,10 @@ import pytest
 
 from tventropy import (
     DegenerateDimension,
-    DescriptiveStats,
     EmptyInput,
     Panel,
     ParseError,
     ScalingMap,
-    descriptive_stats,
     load_csv,
     rescale,
 )
@@ -120,40 +118,6 @@ class TestRescale:
             clipped = scaling.apply(np.array([2.0]), clip=True)
         assert clipped[0] == 1.0
         assert any("clipped" in rec.message for rec in caplog.records)
-
-
-class TestDescriptiveStats:
-    def test_symmetric_two_point_sample(self):
-        panel = Panel(values=np.array([[-1.0], [1.0], [-1.0], [1.0]]))
-        stats = descriptive_stats(panel)
-        assert stats.skewness[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_standard_normal_monte_carlo(self):
-        rng = np.random.default_rng(123)
-        panel = Panel(values=rng.standard_normal((100_000, 1)))
-        stats = descriptive_stats(panel)
-        assert abs(stats.skewness[0]) < 0.03
-        assert stats.kurtosis[0] == pytest.approx(3.0, abs=0.1)
-        assert stats.excess_kurtosis[0] == pytest.approx(0.0, abs=0.1)
-
-    def test_excess_kurtosis_follows_kurtosis(self):
-        stats = DescriptiveStats(n_obs=(10,), skewness=np.zeros(1), kurtosis=np.array([4.5]))
-        np.testing.assert_array_equal(stats.excess_kurtosis, [1.5])
-        with pytest.raises(TypeError):
-            DescriptiveStats(n_obs=(10,), skewness=np.zeros(1), kurtosis=np.array([4.5]),
-                             excess_kurtosis=np.array([0.0]))
-
-    def test_row_permutation_invariance(self):
-        rng = np.random.default_rng(9)
-        values = rng.normal(size=(500, 2))
-        s1 = descriptive_stats(Panel(values=values))
-        s2 = descriptive_stats(Panel(values=values[rng.permutation(500)]))
-        np.testing.assert_allclose(s1.skewness, s2.skewness, atol=1e-12)
-        np.testing.assert_allclose(s1.kurtosis, s2.kurtosis, atol=1e-12)
-
-    def test_needs_four_observations(self):
-        with pytest.raises(ValueError):
-            descriptive_stats(Panel(values=np.array([[1.0], [2.0], [3.0]])))
 
 
 class TestScalingMap:
