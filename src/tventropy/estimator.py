@@ -192,7 +192,7 @@ def fit(panel, config: ModelConfig, gamma0: np.ndarray | None = None,
                              warm_start=lambdas[k])
             stalled += not res.converged
             new_scores_k = -(F @ res.lam + res.log_z)
-            # a regime already at its optimum: the new lam can sum up to 2e-12 lower here
+            # a regime already at its optimum: the new lam can score up to 2e-12 lower
             if float((w * new_scores_k).sum()) >= float((w * scores[k]).sum()):
                 lam_moved = max(lam_moved, float(np.abs(res.lam - lambdas[k]).max()))
                 lambdas[k] = res.lam

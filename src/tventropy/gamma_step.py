@@ -239,7 +239,7 @@ class AffiliationSolver:
             tv_norm(gamma_prev, k) for k in range(self.K)) <= self.c_gamma + 1e-7
         gamma = self._solve_lp(eff, gamma_prev if feasible else None)
         if feasible and float((gamma * scores).sum()) < float((gamma_prev * scores).sum()):
-            return gamma_prev.copy()    # a tied optimum: the vertex can sum 3e-12 lower
+            return gamma_prev.copy()    # a tied optimum: the vertex can score 3e-12 lower
         return gamma
 
 
