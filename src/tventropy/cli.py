@@ -89,26 +89,26 @@ def cmd_grid(args) -> int:
         stage2_points=args.stage2_points,
         jobs=args.jobs,
     )
+    best = report.best_fit
     obj = {
         "schema": 1,
         "stage1": [asdict(c) for c in report.stage1],
         "stage2": [asdict(c) for c in report.stage2],
         "chosen": {
-            "k": report.chosen_k,
-            "c_gamma": report.chosen_c_gamma,
+            "k": best.config.k,
+            "c_gamma": best.config.c_gamma,
             "c_lambda": report.chosen_c_lambda,
             "k_star": report.chosen_k_star,
-            "bic": report.chosen_bic,
+            "bic": best.bic,
         },
     }
     model_io.write_json_atomic(args.output, obj)
     _write_csv(args.output_csv, ["k", "c_gamma", "bic"],
                [[c.k, c.c_gamma, c.bic] for c in report.stage1])
     if args.model_output:
-        model_io.save_model(args.model_output, report.best_fit, scaling,
-                            labels=panel.labels)
-    print(f"chosen K={report.chosen_k} C_gamma={report.chosen_c_gamma} "
-          f"k*={list(report.chosen_k_star)} BIC={report.chosen_bic:.4f}")
+        model_io.save_model(args.model_output, best, scaling, labels=panel.labels)
+    print(f"chosen K={best.config.k} C_gamma={best.config.c_gamma} "
+          f"k*={list(report.chosen_k_star)} BIC={best.bic:.4f}")
     return 0
 
 
@@ -177,8 +177,7 @@ def cmd_var(args) -> int:
         fit_result = anneal(scaled.values, _config_from_args(args))
     result = forecast.backtest(fit_result, scaling, test_values,
                                alphas=args.alpha or _default(forecast.backtest, "alphas"),
-                               labels=panel.labels,
-                               switch_penalty=args.switch_penalty)
+                               labels=panel.labels)
     rows = list(result.rows())
     _write_csv(args.output, list(rows[0]), [list(r.values()) for r in rows])
     for r in rows:
@@ -267,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"coverage level; repeatable (default {alphas})")
     p.add_argument("--model", default=None, help="reuse a saved model instead of fitting")
     _add_model_opts(p)
-    p.add_argument("--switch-penalty", type=float,
-                   default=_default(forecast.backtest, "switch_penalty"))
     _add_common(p)
     p.add_argument("-o", "--output", default="var.csv")
     p.set_defaults(func=cmd_var)

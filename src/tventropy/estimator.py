@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class ModelConfig:
     n_anneal: int = 10
     seed: int = 0
     eps_sparse: float = 1e-5
-    tol_lambda: float = DEFAULT_TOL
+    tol_lambda: ClassVar[float] = DEFAULT_TOL   # lambda-step stopping tolerance; not settable
 
     def __post_init__(self):
         if self.k < 1:
@@ -52,8 +53,8 @@ class ModelConfig:
         if math.isinf(self.c_gamma):
             raise ValueError("c_gamma must be finite; a budget of (T-1)n already leaves "
                              "switching free")
-        if not (self.c_gamma >= 0 and self.eps_sparse >= 0 and self.tol_lambda > 0):
-            raise ValueError("c_gamma and eps_sparse must be nonnegative, tol_lambda positive")
+        if not (self.c_gamma >= 0 and self.eps_sparse >= 0):
+            raise ValueError("c_gamma and eps_sparse must be nonnegative")
         self.c_lambda_per_regime()
 
     def c_lambda_per_regime(self) -> np.ndarray:
@@ -323,14 +324,6 @@ class SelectionReport:
     best_fit: FitResult
 
     @property
-    def chosen_k(self) -> int:
-        return self.best_fit.config.k
-
-    @property
-    def chosen_c_gamma(self) -> float:
-        return self.best_fit.config.c_gamma
-
-    @property
     def chosen_c_lambda(self) -> tuple | None:
         """Per-regime l1 bounds; None when the unregularised fit won."""
         c = self.best_fit.config.c_lambda_per_regime()
@@ -339,10 +332,6 @@ class SelectionReport:
     @property
     def chosen_k_star(self) -> tuple:
         return _k_star(self.best_fit.lambdas, self.best_fit.config.eps_sparse)
-
-    @property
-    def chosen_bic(self) -> float:
-        return self.best_fit.bic
 
 
 def _anneal_or_continue(values, F: np.ndarray, cfg: ModelConfig,

@@ -12,22 +12,18 @@ from .maxent import quantile
 from .panel import ScalingMap
 
 
-def assign_regime_online(fit_result: FitResult, x_new: float, k_prev: int = 0,
-                         switch_penalty: float = 0.0) -> int:
+def assign_regime_online(fit_result: FitResult, x_new: float, k_prev: int = 0) -> int:
     """Most likely regime for one new scaled observation, in any dimension.
 
     Pure per-point maximum likelihood under the regime coefficients, which
     every dimension shares; ties go to the previous regime, then to the
-    lowest index.  ``switch_penalty`` (log-density units) is
-    subtracted from every regime other than ``k_prev`` to add persistence.
+    lowest index.
     """
     if not np.isfinite(x_new):
         raise ValueError(f"observation must be finite, got {x_new}")
     x = float(np.clip(x_new, -1.0, 1.0))
-    K, m = fit_result.lambdas.shape
-    powers = x ** np.arange(1, m + 1)
+    powers = x ** np.arange(1, fit_result.lambdas.shape[1] + 1)
     scores = -(fit_result.lambdas @ powers + fit_result.log_z)
-    scores = scores - switch_penalty * (np.arange(K) != k_prev)
     best = scores.max()
     tied = np.nonzero(scores >= best - 1e-12)[0]
     if k_prev in tied:
@@ -104,14 +100,14 @@ class VarBacktestResult:
 
 
 def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
-             alphas=(0.95, 0.99), switch_penalty: float = 0.0,
-             labels=None) -> VarBacktestResult:
+             alphas=(0.95, 0.99), labels=None) -> VarBacktestResult:
     """Walk-forward VaR backtest on out-of-sample returns.
 
     For each test point the VaR comes from the regime tracked so far (seeded
     by the last in-sample argmax regime); the regime is then confirmed or
     corrected with the newly observed point.  Violations aggregate into the
-    Kupiec unconditional coverage test per dimension and level.
+    Kupiec unconditional coverage test per dimension and level.  ``labels``,
+    when given, names each of the panel's columns.
     """
     out = np.asarray(panel_out, dtype=float)
     if out.ndim == 1:
@@ -126,6 +122,8 @@ def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
         raise ValueError("out-of-sample panel must be finite")
     alphas = tuple(float(a) for a in alphas)
     labels = tuple(labels) if labels else tuple(f"x{i + 1}" for i in range(n))
+    if len(labels) != n:
+        raise ValueError(f"labels has {len(labels)} name(s) but the panel has {n} column(s)")
 
     # per-regime VaR thresholds are constant over the walk; precompute
     thresholds = np.empty((fit_result.k, n, len(alphas)))
@@ -140,8 +138,7 @@ def backtest(fit_result: FitResult, scaling: ScalingMap, panel_out,
         k_cur = int(fit_result.gamma[:, -1, i].argmax())
         for t in range(t_out):
             violations[i] += out[t, i] < -thresholds[k_cur, i]
-            k_cur = assign_regime_online(fit_result, scaled[t, i], k_cur,
-                                         switch_penalty=switch_penalty)
+            k_cur = assign_regime_online(fit_result, scaled[t, i], k_cur)
 
     coverage = violations / t_out
     lr = np.zeros_like(coverage)

@@ -114,8 +114,8 @@ class LambdaFit:
     log_z: float
     converged: bool
     n_iter: int
-    trace: list[float]          # weighted log-likelihood after each accepted step
-    objective: float
+    trace: list[float]          # weighted log-likelihood after each accepted step; the
+                                # last entry is the objective at ``lam``
 
 
 def _armijo_search(path, t: float, tries: int, h: float, mu_hat: np.ndarray, j_max: int):
@@ -203,8 +203,7 @@ def fit_lambda(features: np.ndarray, w, c_lambda: float = np.inf,
         _, lam, log_z, mom, h = found
         trace.append(W * h)
 
-    return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it,
-                     trace=trace, objective=W * h)
+    return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it, trace=trace)
 
 
 def sparsify(lam, eps_sparse: float = 1e-5):

@@ -87,15 +87,16 @@ def load_csv(path, delimiter: str = ",", header: bool = False) -> Panel:
     """Read a numeric CSV into a Panel.
 
     Every cell must parse as a finite real; the first offending cell raises
-    ParseError with 1-based coordinates.  Rows must have a consistent column
-    count.
+    ParseError with 1-based coordinates, so a row of empty or blank cells
+    raises too.  Only empty lines are skipped.  Rows must have a consistent
+    column count.
     """
     rows: list[list[float]] = []
     labels: tuple[str, ...] = ()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         for r, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
+            if not raw:
                 continue
             if header and not rows and not labels:
                 labels = tuple(cell.strip() for cell in raw)

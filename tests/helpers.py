@@ -35,7 +35,7 @@ def selection_study(args):
     report = tv.grid_search(scaled.values, [1, 2, 3], list(range(1, 11)),
                             config=ModelConfig(m=6, n_anneal=n_anneal, seed=seed),
                             stage2_points=0)
-    return report.chosen_k
+    return report.best_fit.config.k
 
 
 def random_fit_trace(args):
@@ -357,5 +357,4 @@ def fit_lambda_two_loops(features: np.ndarray, w, c_lambda: float = np.inf,
                 converged = True
                 break
 
-    return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it,
-                     trace=trace, objective=W * h)
+    return LambdaFit(lam=lam, log_z=log_z, converged=converged, n_iter=it, trace=trace)

@@ -28,6 +28,7 @@ from tventropy.model_io import (
     model_to_obj,
     obj_to_model,
     save_model,
+    write_json_atomic,
 )
 from tests.helpers import rle_encode_loop
 from tests.test_forecast import make_fit
@@ -60,6 +61,15 @@ def small_model(tmp_path_factory, synthetic_csv):
 
 
 class TestModelFile:
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json_atomic(str(path), {"kept": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json_atomic(str(path), {"bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
     def test_round_trip_byte_identical(self, small_model):
         first = small_model.read_text()
         obj = json.loads(first)
@@ -95,7 +105,7 @@ class TestModelFile:
         case = gen_two_regime_gaussian(4.0, T=200, switch_period=50, seed=3)
         scaled, scaling = rescale(case.panel)
         config = ModelConfig(k=2, c_gamma=2.0, c_lambda=(5.0, 7.5), m=3, n_anneal=1,
-                             seed=4, eps_sparse=1e-4, tol_lambda=1e-9)
+                             seed=4, eps_sparse=1e-4)
         result = anneal(scaled.values, config)
         path = tmp_path / "m.json"
         save_model(str(path), result, scaling)
@@ -104,15 +114,16 @@ class TestModelFile:
 
     def test_older_file_without_lambda_settings_loads_defaults(self, small_model):
         obj = json.loads(small_model.read_text())
-        del obj["config"]["tol_lambda"]
+        del obj["config"]["eps_sparse"]
         config = obj_to_model(obj)[0].config
-        assert config.tol_lambda == 1e-7
+        assert config.eps_sparse == ModelConfig.eps_sparse
 
     def test_older_file_with_fit_stopping_settings_loads(self, small_model):
         # the stopping settings are constants of fit now; they do not change
         # what a saved model means, so a file that carries them still loads
         obj = json.loads(small_model.read_text())
-        obj["config"].update(tol_outer=1e-3, max_outer_iter=7, max_lambda_iter=77)
+        obj["config"].update(tol_outer=1e-3, max_outer_iter=7, max_lambda_iter=77,
+                             tol_lambda=1e-9)
         loaded = obj_to_model(obj)
         assert dumps_canonical(model_to_obj(*loaded)) == small_model.read_text()
 
@@ -223,8 +234,6 @@ class TestModelFile:
      "n_samples"),
     (["acf", "x.csv"], "d", diagnostics.acf_abs, "d"),
     (["acf", "x.csv"], "n_samples", diagnostics.simulated_acf, "n_samples"),
-    (["var", "x.csv", "--train-split", "300"], "switch_penalty", forecast.backtest,
-     "switch_penalty"),
     (["graph", "--models", "m.json"], "lag_max", diagnostics.transition_graph, "max_lag"),
     (["graph", "--models", "m.json"], "p_threshold", diagnostics.transition_graph,
      "p_threshold"),

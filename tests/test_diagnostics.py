@@ -215,6 +215,16 @@ class TestSimulatedAcf:
         rho = simulated_acf(fit_result, n_samples=200, d=1.0, max_lag=10, seed=2)
         assert np.all(rho[:5] > 0.05)
 
+    def test_regime_with_no_points_draws_nothing(self):
+        # regime 1 holds no point of the hard path, so its sampler is never
+        # asked for a count-0 draw; regime 0 draws exactly as in a K=1 fit
+        lam0 = [0.0, 3.0, 0, 0, 0, 0]
+        two = make_fit([lam0, [0.0, 40.0, 0, 0, 0, 0]], T=200)
+        one = make_fit([lam0], T=200)
+        np.testing.assert_array_equal(
+            simulated_acf(two, n_samples=20, max_lag=5, seed=3),
+            simulated_acf(one, n_samples=20, max_lag=5, seed=3))
+
     def test_deterministic(self):
         fit_result = make_fit([[0.0, 3.0, 0, 0, 0, 0]], T=200)
         a = simulated_acf(fit_result, n_samples=50, max_lag=5, seed=3)

@@ -27,6 +27,7 @@ from tventropy import (
 )
 from tventropy import estimator
 from tventropy.estimator import MAX_OUTER_ITER, random_block_gamma
+from tventropy.lambda_step import DEFAULT_TOL
 
 from tests.helpers import log_integral_converged, random_block_gamma_loop
 from tests.test_maxent import simpson_log_integral
@@ -39,7 +40,6 @@ def scaled_synthetic(v2=4.0, T=400, period=100, seed=0):
 
 
 @pytest.mark.parametrize("setting", [
-    {"tol_lambda": 0.0},
     {"eps_sparse": -1.0},
     {"c_gamma": math.inf},
     {"c_lambda": math.nan},
@@ -51,10 +51,16 @@ def test_model_config_rejects_settings_fit_cannot_run(setting):
         ModelConfig(**setting)
 
 
-@pytest.mark.parametrize("name", ["tol_outer", "max_outer_iter", "max_lambda_iter"])
+@pytest.mark.parametrize("name", ["tol_outer", "max_outer_iter", "max_lambda_iter",
+                                  "tol_lambda"])
 def test_fit_stopping_rule_is_not_a_setting(name):
     with pytest.raises(TypeError, match=name):
         ModelConfig(**{name: 1})
+
+
+def test_tol_lambda_is_the_lambda_steps_default_on_every_config():
+    assert "tol_lambda" not in [f.name for f in fields(ModelConfig)]
+    assert ModelConfig(k=3).tol_lambda == DEFAULT_TOL == 1e-7
 
 
 class TestFit:
@@ -64,7 +70,7 @@ class TestFit:
         result = fit(values, config)
         pooled = fit_lambda(feature_matrix(values, 4), np.ones_like(values))
         np.testing.assert_allclose(result.lambdas[0], pooled.lam, atol=1e-6)
-        assert result.objective == pytest.approx(pooled.objective, rel=1e-9)
+        assert result.objective == pytest.approx(pooled.trace[-1], rel=1e-9)
 
     def test_trace_nondecreasing(self):
         values, _, _ = scaled_synthetic(seed=2)
@@ -351,7 +357,7 @@ class TestGridSearch:
         report = grid_search(values, [1], [2.0],
                              ModelConfig(m=4, n_anneal=1, seed=0), stage2_points=0)
         assert len(report.stage1) == 1
-        assert report.chosen_k == 1
+        assert report.best_fit.config.k == 1
         assert report.best_fit.bic == report.stage1[0].bic
 
     def test_chosen_cell_minimises_bic(self):
@@ -419,8 +425,6 @@ class TestSelectionReport:
         report = grid_search(values, [1, 2], [4.0], ModelConfig(m=4, n_anneal=2, seed=0),
                              stage2_points=6)
         best = report.best_fit
-        assert (report.chosen_k, report.chosen_c_gamma) == (best.config.k, best.config.c_gamma)
-        assert report.chosen_bic == best.bic
         assert sum(report.chosen_k_star) + (best.k - 1) <= best.param_count
         # a stage-2 cell wins only by a strictly lower BIC, the first such minimum
         stage1_bic = min(c.bic for c in report.stage1)
@@ -454,7 +458,23 @@ def _check_edge_fit(result):
     assert result.bic == bic(result)
 
 
+def _assert_same_fit(a, b):
+    np.testing.assert_array_equal(a.gamma, b.gamma)
+    np.testing.assert_array_equal(a.lambdas, b.lambdas)
+    assert a.trace == b.trace and a.bic == b.bic
+
+
 class TestEdgeShapes:
+    def test_series_fits_as_its_column(self):
+        column, _, _ = scaled_synthetic(seed=6, T=200, period=50)
+        series = column[:, 0]
+        config = ModelConfig(k=2, c_gamma=3.0, m=4, n_anneal=2)
+        _assert_same_fit(fit(series, config), fit(column, config))
+        _assert_same_fit(anneal(series, config), anneal(column, config))
+        a, b = (grid_search(v, [1, 2], [3.0], config, stage2_points=2) for v in (series, column))
+        assert a.stage1 == b.stage1 and a.stage2 == b.stage2
+        _assert_same_fit(a.best_fit, b.best_fit)
+
     @pytest.mark.parametrize("case", ["k3_t3", "n3", "m12_student_t"])
     def test_clean_fit(self, case):
         rng = np.random.default_rng(3)

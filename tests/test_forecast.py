@@ -76,12 +76,6 @@ class TestAssignRegimeOnline:
         fit = make_fit([tight, wide])
         assert assign_regime_online(fit, 0.0, k_prev=1) == 0
 
-    def test_switch_penalty_adds_persistence(self):
-        tight = [0.0, 50.0]
-        wide = [0.0, 2.5]
-        fit = make_fit([tight, wide])
-        assert assign_regime_online(fit, 0.25, k_prev=1, switch_penalty=5.0) == 1
-
     def test_clips_out_of_domain(self):
         fit = make_fit([[0.0, 1.0]])
         assert assign_regime_online(fit, 3.7) == 0
@@ -248,6 +242,16 @@ class TestBacktest:
     def test_column_count_must_match_model(self):
         with pytest.raises(ValueError, match="2 column.*model has 1"):
             backtest(make_fit([[0.0, 2.0]]), IDENTITY, np.zeros((10, 2)))
+
+    @pytest.mark.parametrize("labels", [("only-one",), ("a", "b", "c")])
+    def test_label_count_must_match_panel(self, labels, monkeypatch):
+        fit = make_fit([[0.0, 2.0]])
+        fit.gamma = np.repeat(fit.gamma, 2, axis=2)
+        scaling = ScalingMap(a=np.ones(2), b=np.zeros(2))
+        # raised before any VaR threshold is computed
+        monkeypatch.setattr("tventropy.forecast.var_forecast", None)
+        with pytest.raises(ValueError, match=f"labels has {len(labels)} name.*2 column"):
+            backtest(fit, scaling, np.zeros((10, 2)), labels=labels)
 
     def test_two_dimensional_panel(self):
         # each column is scaled with its own map and tracked on its own

@@ -157,6 +157,15 @@ class TestFitLambda:
         assert res.converged
         assert np.abs(res.lam).max() <= 0.05
 
+    def test_series_input_is_its_column(self):
+        draws = sample([0.0, 4.0, 0.5], 500, seed=6)
+        F = feature_matrix(draws, 3)
+        np.testing.assert_array_equal(F, feature_matrix(draws[:, None], 3))
+        w = np.random.default_rng(6).uniform(0.0, 1.0, draws.size)
+        flat, column = fit_lambda(F, w), fit_lambda(F, w[:, None])
+        np.testing.assert_array_equal(flat.lam, column.lam)
+        assert flat.trace == column.trace
+
     def test_truncated_gaussian_recovery(self):
         lam_true = np.array([0.0, 4.0])
         draws = sample(lam_true, 10_000, seed=6)
@@ -173,7 +182,7 @@ class TestFitLambda:
             np.testing.assert_array_equal(res.lam, np.zeros(4))
             assert res.converged
             assert res.log_z == pytest.approx(math.log(2.0), abs=1e-14)
-            assert res.objective == res.trace[-1] == -3.0 * res.log_z
+            assert res.trace[-1] == -3.0 * res.log_z
 
     def test_constraint_respected(self):
         rng = np.random.default_rng(7)

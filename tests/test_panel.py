@@ -50,6 +50,22 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["1.0,2.0\n,\n3.0,4.0\n", "1.0\n   \n3.0\n"],
+                             ids=["empty-cells", "blank"])
+    def test_row_without_values_rejected(self, tmp_path, text):
+        # skipping it would move every later observation up one time step
+        path = tmp_path / "gap.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 2 and err.value.col == 1
+
+    def test_empty_line_skipped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0\n")
+        panel = load_csv(path)
+        np.testing.assert_array_equal(panel.values, [[1, 2], [3, 4]])
+
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("1;2\n3;4\n")
@@ -65,6 +81,12 @@ class TestPanelInvariants:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             Panel(values=np.array([[1.0, 2.0]]))
+
+    def test_series_is_one_column(self):
+        series = Panel(values=np.array([1.0, 2.0, 3.0]))
+        column = Panel(values=np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_array_equal(series.values, column.values)
+        assert series.labels == column.labels == ("x1",)
 
     def test_default_labels(self):
         panel = Panel(values=np.zeros((3, 2)) + [[1], [2], [3]])
