@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import sys
 from dataclasses import asdict, fields
 
@@ -58,10 +59,9 @@ def _add_csv_opts(p):
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    model_io.write_text_atomic(path, buf.getvalue())
 
 
 def cmd_fit(args) -> int:
@@ -115,8 +115,8 @@ def cmd_grid(args) -> int:
 def cmd_gen_synthetic(args) -> int:
     case = diagnostics.gen_two_regime_gaussian(
         args.v2, T=args.t, switch_period=args.switch_period, seed=args.seed)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(f"{float(v)!r}\n" for v in case.panel.values[:, 0])
+    model_io.write_text_atomic(args.output,
+                               "".join(f"{float(v)!r}\n" for v in case.panel.values[:, 0]))
     truth_path = args.output + ".truth.csv"
     hard = case.gamma_true.argmax(axis=0)[:, 0]
     _write_csv(truth_path, ["regime", "variance"],
@@ -196,8 +196,7 @@ def cmd_graph(args) -> int:
     graph = diagnostics.transition_graph(jumps, max_lag=args.lag_max,
                                          p_threshold=args.p_threshold)
     model_io.write_json_atomic(args.output + ".json", graph.to_json_obj())
-    with open(args.output + ".dot", "w", encoding="utf-8") as fh:
-        fh.write(graph.to_dot())
+    model_io.write_text_atomic(args.output + ".dot", graph.to_dot())
     print(f"{len(graph.edges)} edge(s); wrote {args.output}.json and {args.output}.dot")
     return 0
 

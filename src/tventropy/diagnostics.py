@@ -268,12 +268,14 @@ class RelationGraph:
         }
 
     def to_dot(self) -> str:
+        def quoted(name: str) -> str:       # DOT's only escape in a quoted ID is \"
+            return '"' + name.replace('"', '\\"') + '"'
         lines = ["digraph transitions {"]
         for node in self.nodes:
-            lines.append(f'  "{node}";')
+            lines.append(f"  {quoted(node)};")
         for e in self.edges:
             lines.append(
-                f'  "{e.source}" -> "{e.target}" '
+                f"  {quoted(e.source)} -> {quoted(e.target)} "
                 f'[label="{e.direction} lag={e.lag} p={e.p_value:.2e}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -132,18 +132,25 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_json_atomic(path: str, obj) -> None:
-    """Serialise canonically and replace the target file in one step."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace ``path`` in one step by ``text`` (UTF-8, newlines as given) at the
+    mode ``open(path, "w")`` gives: an existing file's, else 0o666 less the umask."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"       # beside it, so the rename is atomic
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(obj))
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            with suppress(FileNotFoundError):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, obj) -> None:
+    """Serialise canonically and replace the target file in one step."""
+    write_text_atomic(path, dumps_canonical(obj))
 
 
 def save_model(path: str, fit_result: FitResult, scaling: ScalingMap, labels=None) -> None:

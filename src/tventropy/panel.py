@@ -89,8 +89,10 @@ def load_csv(path, delimiter: str = ",", header: bool = False) -> Panel:
     Every cell must parse as a finite real; the first offending cell raises
     ParseError with 1-based coordinates, so a row of empty or blank cells
     raises too.  Only empty lines are skipped.  Rows must have a consistent
-    column count.
+    column count.  The delimiter is one character.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     rows: list[list[float]] = []
     labels: tuple[str, ...] = ()
     with open(path, newline="", encoding="utf-8") as fh:

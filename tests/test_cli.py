@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -29,9 +30,14 @@ from tventropy.model_io import (
     obj_to_model,
     save_model,
     write_json_atomic,
+    write_text_atomic,
 )
 from tests.helpers import rle_encode_loop
 from tests.test_forecast import make_fit
+
+
+def _refuse_replace(src, dst):
+    raise PermissionError(13, "Permission denied", dst)
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +67,47 @@ def small_model(tmp_path_factory, synthetic_csv):
 
 
 class TestModelFile:
-    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path):
+    @pytest.mark.parametrize("write, payload, error, match", [
+        (write_json_atomic, {"bad": object()}, TypeError, "not JSON serializable"),
+        (write_text_atomic, "\ud800", UnicodeEncodeError, "surrogates not allowed"),
+        (write_json_atomic, {"ok": 1}, PermissionError, "Permission denied"),
+        (write_text_atomic, "ok\n", PermissionError, "Permission denied"),
+    ], ids=["json-serialise", "text-encode", "json-replace", "text-replace"])
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                                               write, payload, error, match):
         path = tmp_path / "out.json"
         write_json_atomic(str(path), {"kept": 1})
         before = path.read_bytes()
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            write_json_atomic(str(path), {"bad": object()})
+        if error is PermissionError:
+            monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(error, match=match):
+            write(str(path), payload)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_mode_is_what_open_would_give(self, tmp_path, umask):
+        new, kept = tmp_path / "new.csv", tmp_path / "kept.json"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            write_text_atomic(str(new), "a,b\r\n1,2\r\n")
+            write_json_atomic(str(kept), {"a": 1})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert new.read_bytes() == b"a,b\r\n1,2\r\n"
+        assert kept.read_bytes() == b'{"a":1}\n'
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        write_text_atomic(str(link), "new\n")
+        assert target.read_text() == "old\n"
+        assert not link.is_symlink() and link.read_text() == "new\n"
 
     def test_round_trip_byte_identical(self, small_model):
         first = small_model.read_text()
@@ -331,6 +370,7 @@ class TestFitCommand:
     ["graph", "--models", "{model}", "--lag-max", "400"],
     ["acf", "{two}", "--dim", "1", "--model", "{model}"],
     ["var", "{two}", "--train-split", "200", "--model", "{model}"],
+    ["acf", "{csv}", "--delimiter", ";;"],
 ])
 def test_bad_input_gives_one_line_error(argv, synthetic_csv, two_column_csv, small_model,
                                         tmp_path, capsys):
@@ -339,6 +379,15 @@ def test_bad_input_gives_one_line_error(argv, synthetic_csv, two_column_csv, sma
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_failed_replace_gives_one_line_error(synthetic_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "replace", _refuse_replace)
+    rc = main(["acf", str(synthetic_csv), "--max-lag", "5", "-o", str(tmp_path / "acf.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGridCommand:

@@ -382,17 +382,23 @@ class TestTransitionGraph:
             n_pairs += 6 * 4
         assert n_edges <= max(2, 0.02 * n_pairs)
 
-    def test_dot_and_json_outputs(self):
+    @pytest.mark.parametrize("name, dot_id", [("a", '"a"'),
+                                              ('S&P "500"', '"S&P \\"500\\""')],
+                             ids=["plain", "quoted"])
+    def test_dot_and_json_outputs(self, name, dot_id):
         rng = np.random.default_rng(18)
         T = 300
         up = (rng.random(T) < 0.05).astype(int)
-        jumps = {"a": (up, np.zeros(T, int)),
+        jumps = {name: (up, np.zeros(T, int)),
                  "b": (np.roll(up, 1), np.zeros(T, int))}
         graph = transition_graph(jumps, max_lag=2, p_threshold=0.05)
         obj = graph.to_json_obj()
-        assert obj["schema"] == 1 and set(obj["nodes"]) == {"a", "b"}
+        assert obj["schema"] == 1 and set(obj["nodes"]) == {name, "b"}
         dot = graph.to_dot()
-        assert dot.startswith("digraph") and '"a"' in dot
+        assert dot.startswith("digraph") and f"  {dot_id};" in dot
+        assert f'  {dot_id} -> "b" [label="up/up lag=1' in dot
+        # every quote that is not escaped opens or closes an ID or label
+        assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in dot.splitlines())
 
 
 class TestLaggedTable:

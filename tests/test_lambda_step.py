@@ -35,6 +35,19 @@ def brute_loglik(lam, values, w):
     return total
 
 
+def mixed_problems():
+    """60 regime subproblems: m in 2..12, heavy-tailed data, unbounded and
+    l1-bounded, cold and far warm starts."""
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        m, T = int(rng.integers(2, 13)), int(rng.integers(50, 301))
+        x = np.clip(rng.standard_t(4, size=(T, 1)) * rng.uniform(0.05, 0.4), -1, 1)
+        w = rng.uniform(0, 1, size=(T, 1))
+        c = math.inf if trial % 4 < 2 else 10 ** rng.uniform(-0.5, 1.5)
+        warm = rng.normal(0, 10, size=m) if trial % 2 else None
+        yield feature_matrix(x, m), w, c, warm
+
+
 class TestWeightedLoglik:
     def test_uniform_lambda(self):
         rng = np.random.default_rng(0)
@@ -301,15 +314,8 @@ class TestFitLambda:
             return found
 
         monkeypatch.setattr(lambda_step, "_armijo_search", spy)
-        rng = np.random.default_rng(23)
         branches = set()
-        for trial in range(60):
-            m, T = int(rng.integers(2, 13)), int(rng.integers(50, 301))
-            x = np.clip(rng.standard_t(4, size=(T, 1)) * rng.uniform(0.05, 0.4), -1, 1)
-            w = rng.uniform(0, 1, size=(T, 1))
-            c = math.inf if trial % 4 < 2 else 10 ** rng.uniform(-0.5, 1.5)
-            warm = rng.normal(0, 10, size=m) if trial % 2 else None
-            F = feature_matrix(x, m)
+        for F, w, c, warm in mixed_problems():
             calls.clear()
             res = fit_lambda(F, w, c_lambda=c, warm_start=warm)
             ref = fit_lambda_two_loops(F, w, c_lambda=c, warm_start=warm)
@@ -326,6 +332,49 @@ class TestFitLambda:
                     branches.add("gradient only")
         assert branches == {"newton accepted", "newton rejected",
                             "gradient after newton", "gradient only"}
+
+    def test_no_improving_step_exit_keeps_last_accepted_iterate(self, monkeypatch):
+        # at tol=1e-300, problem 39 of the mixed set ends when neither path
+        # finds an improving step at float resolution, which counts as stationary
+        search, accepted, last = lambda_step._armijo_search, [], []
+
+        def spy(path, t, tries, *args):
+            found = search(path, t, tries, *args)
+            if found is not None:
+                accepted.append(found)
+            last[:] = [(tries, found is None)]
+            return found
+
+        monkeypatch.setattr(lambda_step, "_armijo_search", spy)
+        F, w, c, warm = list(mixed_problems())[39]
+        res = fit_lambda(F, w, c_lambda=c, warm_start=warm, tol=1e-300)
+        assert last == [(60, True)]
+        assert res.converged and np.all(np.diff(res.trace) >= 0)
+        _, lam, log_z, _, h = accepted[-1]
+        assert res.lam is lam and res.log_z == log_z
+        assert res.trace[-1] == w.sum() * h and len(res.trace) == len(accepted) + 1
+
+    def test_failed_newton_solve_falls_back_to_gradient(self, monkeypatch):
+        # a LinAlgError leaves the Newton direction non-finite, so that
+        # iteration takes a projected-gradient step and Newton resumes after it
+        rng = np.random.default_rng(5)
+        x = np.clip(rng.standard_normal((200, 1)) * 0.3, -1, 1)
+        w = rng.uniform(0, 1, size=(200, 1))
+        F = feature_matrix(x, 4)
+        ref = fit_lambda(F, w, tol=1e-11)
+        solve, raised = np.linalg.solve, []
+
+        def solve_failing_once(a, b):
+            if not raised:
+                raised.append(True)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+        res = fit_lambda(F, w, tol=1e-11)
+        assert raised and res.converged and np.all(np.diff(res.trace) >= 0)
+        assert np.abs(loglik_gradient(res.lam, F, w) / w.sum()).max() <= 1e-11
+        np.testing.assert_allclose(res.lam, ref.lam, rtol=0, atol=1e-8)
 
     def test_empty_regime_raises(self):
         F = feature_matrix(np.array([[0.1], [0.2]]), 2)

@@ -72,6 +72,12 @@ class TestLoadCsv:
         panel = load_csv(path, delimiter=";")
         assert panel.n == 2
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\\t"])
+    def test_delimiter_not_one_character_rejected(self, tmp_path, delimiter):
+        # checked before the file is opened, so a missing file does not mask it
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            load_csv(tmp_path / "missing.csv", delimiter=delimiter)
+
 
 class TestPanelInvariants:
     def test_rejects_nan(self):
